@@ -1,6 +1,6 @@
 // Micro-benchmarks of the simulator substrate itself: event-loop throughput,
-// scheduler core head-to-head, link transmission, transport transfers, and a
-// full page visit. These bound how fast full-scale studies can run and catch
+// scheduler churn, link transmission, transport transfers, and a full page
+// visit. These bound how fast full-scale studies can run and catch
 // performance regressions.
 #include <benchmark/benchmark.h>
 
@@ -104,11 +104,10 @@ void BM_FullPageVisit(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPageVisit)->Unit(benchmark::kMillisecond);
 
-// Scheduler core head-to-head: 1M events scheduled with pseudo-random times,
-// a quarter cancelled, the rest drained — the schedule/cancel/pop mix a fleet
-// run produces. Captures are 24 bytes (past std::function's typical inline
-// buffer, within SmallFn's 48), so the heap baseline pays the allocation the
-// old scheduler paid.
+// Scheduler churn: 1M events scheduled with pseudo-random times, a quarter
+// cancelled, the rest drained — the schedule/cancel/pop mix a fleet run
+// produces. Captures are 24 bytes (past std::function's typical inline
+// buffer, within SmallFn's 48).
 struct SchedulerRun {
   double wall_s = 0.0;
   std::uint64_t events = 0;     // schedule ops issued
@@ -116,11 +115,11 @@ struct SchedulerRun {
   double events_per_sec = 0.0;
 };
 
-SchedulerRun scheduler_churn(sim::Simulator::Backend backend) {
+SchedulerRun scheduler_churn() {
   constexpr std::uint64_t kEvents = 1'000'000;
   constexpr std::uint64_t kHorizonUs = 10'000'000;  // 10 s of virtual time
   SchedulerRun out;
-  sim::Simulator sim(backend);
+  sim::Simulator sim;
   std::vector<sim::EventId> ids;
   ids.reserve(kEvents);
   std::uint64_t sink = 0;
@@ -141,31 +140,17 @@ SchedulerRun scheduler_churn(sim::Simulator::Backend backend) {
 }
 
 void reproduce(std::ostream& os, bench::BenchReport& report) {
-  const SchedulerRun heap = scheduler_churn(sim::Simulator::Backend::Heap);
-  const SchedulerRun cal = scheduler_churn(sim::Simulator::Backend::Calendar);
-  const double speedup =
-      heap.events_per_sec > 0.0 ? cal.events_per_sec / heap.events_per_sec : 0.0;
-
-  os << "scheduler core head-to-head (1M events, 25% cancelled, drained):\n";
-  os << std::left << std::setw(10) << "core" << std::right << std::setw(12) << "wall ms"
-     << std::setw(12) << "fired" << std::setw(16) << "events/sec" << "\n" << std::fixed;
-  os << std::left << std::setw(10) << "heap" << std::right << std::setw(12)
-     << std::setprecision(1) << heap.wall_s * 1000.0 << std::setw(12) << heap.fired
-     << std::setw(16) << std::setprecision(0) << heap.events_per_sec << "\n";
-  os << std::left << std::setw(10) << "calendar" << std::right << std::setw(12)
-     << std::setprecision(1) << cal.wall_s * 1000.0 << std::setw(12) << cal.fired
-     << std::setw(16) << std::setprecision(0) << cal.events_per_sec << "\n";
-  os << "calendar speedup: " << std::setprecision(2) << speedup << "x\n";
-
-  report.add("sched_heap_events_per_sec", heap.events_per_sec, "per_sec");
+  const SchedulerRun cal = scheduler_churn();
+  os << "scheduler churn (1M events, 25% cancelled, drained):\n" << std::fixed
+     << "  wall ms " << std::setprecision(1) << cal.wall_s * 1000.0 << ", fired " << cal.fired
+     << ", events/sec " << std::setprecision(0) << cal.events_per_sec << "\n";
   report.add("sched_calendar_events_per_sec", cal.events_per_sec, "per_sec");
-  report.add("sched_calendar_speedup", speedup, "ratio");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   return h3cdn::bench::run_bench_main(
-      argc, argv, "Simulator substrate micro-benchmarks + scheduler head-to-head",
+      argc, argv, "Simulator substrate micro-benchmarks + scheduler churn",
       reproduce);
 }

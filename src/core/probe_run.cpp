@@ -5,9 +5,7 @@
 
 #include "browser/browser.h"
 #include "browser/waterfall.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/timeline.h"
 #include "sim/simulator.h"
 #include "tls/ticket_store.h"
 #include "util/check.h"
@@ -15,21 +13,9 @@
 
 namespace h3cdn::core {
 
-ShardResult ProbeRunTask::run() const {
+std::vector<PageVisitRecord> ProbeRunTask::run(RunObservability* sink) const {
   H3CDN_EXPECTS(config != nullptr);
   H3CDN_EXPECTS(workload != nullptr);
-
-  ShardResult out;
-  if (observability.has_value()) {
-    out.observability = std::make_unique<RunObservability>(*observability);
-  }
-  RunObservability* sink = out.observability.get();
-
-  // Install this shard's sinks on the executing thread only (the pointers
-  // are thread_local); concurrent shards never observe each other.
-  obs::ScopedMetrics scoped_metrics(sink ? &sink->metrics() : nullptr);
-  obs::ScopedTimeline scoped_timeline(sink ? &sink->timeline() : nullptr);
-  obs::ScopedProfiler scoped_profiler(sink ? &sink->profiler() : nullptr);
 
   // Seed derivation is identical to the sequential study loop: the root is
   // re-derived from the study seed and forked by (vantage name, probe), so a
@@ -81,7 +67,8 @@ ShardResult ProbeRunTask::run() const {
                            probe_rng.fork(h3_enabled ? "browser-h3" : "browser-h2"));
 
   // Fixed visiting order (§III-B): sequential over the target list.
-  out.visits.reserve(site_count);
+  std::vector<PageVisitRecord> visits;
+  visits.reserve(site_count);
   for (std::size_t si = 0; si < site_count; ++si) {
     const web::WebPage& page = workload->sites[si].page;
     if (config->warm_caches) {
@@ -100,13 +87,13 @@ ShardResult ProbeRunTask::run() const {
     if (sink != nullptr) {
       sink->add_waterfall(browser::make_waterfall(rec.har, run_label));
     }
-    out.visits.push_back(std::move(rec));
+    visits.push_back(std::move(rec));
 
     // Small think-time gap between consecutive page visits.
     sim.schedule_in(msec(100), [] {});
     sim.run();
   }
-  return out;
+  return visits;
 }
 
 }  // namespace h3cdn::core

@@ -1,18 +1,15 @@
-// ProbeRunTask: one self-contained shard of a measurement study.
+// ProbeRunTask: one cell of a measurement study's sweep.
 //
-// A shard is one (vantage, probe, mode) browser run — the unit the paper's
+// A cell is one (vantage, probe, mode) browser run — the unit the paper's
 // methodology makes independent by construction: it owns its Simulator, its
-// Environment (paths, edge caches, DNS cache), its TLS session-ticket store,
-// its Rng fork, and (when observability is on) its own metrics registry,
-// profiler, trace aggregator and waterfall sink. Nothing mutable is shared
-// with any other shard, so shards can execute on any thread in any order;
-// the study merges shard results in canonical shard order afterwards, which
-// keeps every output byte-identical for any --jobs value. The determinism
-// contract is spelled out in docs/PARALLELISM.md.
+// Environment (paths, edge caches, DNS cache), its TLS session-ticket store
+// and its Rng fork. Nothing mutable is shared with any other cell, so cells
+// can execute on any thread in any order; core::run_sweep (core/sweep.h)
+// supplies the observability shard and merges in canonical order, which
+// keeps every output byte-identical for any --jobs value.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "browser/environment.h"
@@ -21,9 +18,7 @@
 
 namespace h3cdn::core {
 
-struct ShardResult;
-
-/// Inputs of one shard. Everything is copied or shared-immutable: `config`
+/// Inputs of one cell. Everything is copied or shared-immutable: `config`
 /// and `workload` must outlive run() but are only read.
 struct ProbeRunTask {
   const StudyConfig* config = nullptr;
@@ -32,25 +27,11 @@ struct ProbeRunTask {
   int probe = 0;
   bool h3_enabled = false;
   std::size_t site_count = 0;
-  /// Canonical shard position (vantage-major, then probe, then H2 before
-  /// H3); the merge key that makes parallel output order-independent.
-  std::size_t shard_index = 0;
-  /// Per-shard observability slice (ObservabilityConfig::per_shard of the
-  /// run-level config); nullopt when observability is disabled.
-  std::optional<ObservabilityConfig> observability;
 
-  /// Executes the shard on the calling thread. Installs the shard's own
-  /// metrics registry/profiler on this thread for the duration (thread-local
-  /// sinks), so concurrent shards never contend.
-  [[nodiscard]] ShardResult run() const;
-};
-
-/// What a shard hands back to the merge step.
-struct ShardResult {
-  /// Visits in site order (the shard's deterministic internal order).
-  std::vector<PageVisitRecord> visits;
-  /// The shard's private sink; null when observability is disabled.
-  std::unique_ptr<RunObservability> observability;
+  /// Executes the cell on the calling thread and returns its visits in site
+  /// order. `sink` is the cell's run_sweep shard (null when observability is
+  /// off); it receives the cell's traces and waterfalls.
+  [[nodiscard]] std::vector<PageVisitRecord> run(RunObservability* sink) const;
 };
 
 }  // namespace h3cdn::core

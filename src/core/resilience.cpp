@@ -1,15 +1,14 @@
 #include "core/resilience.h"
 
 #include <algorithm>
-#include <memory>
+#include <span>
 #include <utility>
 
 #include "browser/browser.h"
-#include "obs/metrics.h"
+#include "core/sweep.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace h3cdn::core {
 
@@ -28,17 +27,9 @@ struct VisitOutcome {
 // the sequential-visit study loop, where simulated time accumulates across
 // pages and an absolute-time outage would only ever hit the first one.
 // Caches are pre-warmed, matching the paper's measured-visit methodology.
-//
-// `metrics` is this visit's own registry handle (may be null). It is
-// installed thread-locally here, on whatever thread executes the visit —
-// never around a batch of visits on the caller's thread — so the drop-reason
-// counters land in the right cell even when visits of several cells are in
-// flight on the pool at once.
 VisitOutcome run_visit(const web::Workload& workload, const web::WebPage& page,
                        const browser::VantageConfig& vantage, bool h3_enabled,
-                       const ResilienceConfig& config, std::uint64_t page_salt,
-                       obs::MetricsRegistry* metrics) {
-  obs::ScopedMetrics scoped_metrics(metrics);
+                       const ResilienceConfig& config, std::uint64_t page_salt) {
   sim::Simulator sim;
   // Same env seed across fault conditions and protocol modes: paths, loss
   // and jitter realizations pair exactly, so condition deltas isolate the
@@ -65,68 +56,98 @@ VisitOutcome run_visit(const web::Workload& workload, const web::WebPage& page,
   return out;
 }
 
-/// Per-site shard of one sweep cell: the visit outcomes plus the metrics the
-/// visits recorded. Sites execute in any order on the pool; the cell folds
-/// shards in site order, so cell rows are independent of scheduling.
-struct SiteShard {
-  VisitOutcome h2;
+/// One (condition, site) cell: the visit outcomes plus the link drop-reason
+/// counters its visits recorded, copied out of the cell's own registry so a
+/// row reads drops from the same source of truth as every other metrics
+/// consumer instead of re-aggregating LinkStats by hand.
+struct SiteVisit {
+  VisitOutcome h2;  // loss-axis conditions only
   VisitOutcome h3;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
+  std::uint64_t packets_offered = 0;
+  std::uint64_t packets_dropped = 0;
+  std::uint64_t dropped_bernoulli = 0;
+  std::uint64_t dropped_burst = 0;
+  std::uint64_t dropped_outage = 0;
 };
 
 }  // namespace
 
 ResilienceResult run_resilience(const ResilienceConfig& config) {
   H3CDN_EXPECTS(config.sites >= 1);
-  H3CDN_EXPECTS(config.jobs >= 0);
   web::WorkloadConfig wc = config.workload;
   wc.site_count = std::max(wc.site_count, config.sites);
   const web::Workload workload = web::generate_workload(wc);
   const std::size_t n_sites = std::min(config.sites, workload.sites.size());
 
-  std::size_t jobs = config.jobs == 0 ? util::ThreadPool::default_jobs()
-                                      : static_cast<std::size_t>(config.jobs);
-  jobs = std::min(jobs, n_sites);
-  util::ThreadPool pool(jobs);
-
-  ResilienceResult result;
-
-  // --- Axis 1: Bernoulli vs Gilbert-Elliott at equal average loss ---------
+  // Conditions, in fold order: the burst-vs-Bernoulli axis (H2 and H3
+  // visits), the fault-free baseline, then the outage axis (H3 visits).
+  std::vector<browser::VantageConfig> conditions;
   for (double rate : config.loss_rates) {
     for (bool bursty : {false, true}) {
-      LossTailRow row;
-      row.loss_rate = rate;
-      row.bursty = bursty;
       browser::VantageConfig vantage = config.vantage;
       // Route BOTH models through the injector so the comparison shares one
       // code path and one Rng stream; only the burst structure differs.
       vantage.fault_profile.gilbert_elliott =
           bursty ? net::GilbertElliottConfig::from_average(rate, config.mean_burst_packets)
                  : net::GilbertElliottConfig::bernoulli(rate);
-      // One shard per site, each with its own registry handle: net::Link
-      // reports its drop-reason counters into the visit's registry, so the
-      // row reads drops from the same source of truth as every other
-      // metrics consumer instead of re-aggregating LinkStats by hand.
-      std::vector<SiteShard> shards(n_sites);
-      pool.parallel_for(n_sites, [&](std::size_t site) {
-        SiteShard& shard = shards[site];
-        shard.metrics = std::make_unique<obs::MetricsRegistry>();
-        const web::WebPage& page = workload.sites[site].page;
-        shard.h2 = run_visit(workload, page, vantage, false, config, site, shard.metrics.get());
-        shard.h3 = run_visit(workload, page, vantage, true, config, site, shard.metrics.get());
-      });
+      conditions.push_back(std::move(vantage));
+    }
+  }
+  // Fault-free paired baseline: an outage-only profile makes no Rng draws,
+  // so pages the outage never touches replay the baseline byte for byte and
+  // their recovery penalty is exactly zero.
+  const std::size_t baseline = conditions.size();
+  conditions.push_back(config.vantage);
+  for (Duration outage_duration : config.outage_durations) {
+    browser::VantageConfig vantage = config.vantage;
+    vantage.fault_profile.outages.push_back(
+        net::Outage{config.outage_start, outage_duration, config.outage_kind});
+    conditions.push_back(std::move(vantage));
+  }
+
+  // One sweep over (condition, site). Cells read their drop counters back,
+  // so they always need shards; nobody reads the merged sink.
+  RunObservability local;
+  std::vector<SiteVisit> visits(conditions.size() * n_sites);
+  run_sweep(visits.size(), config.jobs, &local, [&](std::size_t cell, RunObservability* shard) {
+    const std::size_t condition = cell / n_sites;
+    const std::size_t site = cell % n_sites;
+    const web::WebPage& page = workload.sites[site].page;
+    SiteVisit& v = visits[cell];
+    if (condition < baseline) {
+      v.h2 = run_visit(workload, page, conditions[condition], false, config, site);
+    }
+    v.h3 = run_visit(workload, page, conditions[condition], true, config, site);
+    auto counter = [shard](const char* name) { return shard->metrics().counter(name).value(); };
+    v.packets_offered = counter("net.link.packets_offered");
+    v.packets_dropped = counter("net.link.packets_dropped");
+    v.dropped_bernoulli = counter("net.link.dropped.bernoulli");
+    v.dropped_burst = counter("net.link.dropped.burst");
+    v.dropped_outage = counter("net.link.dropped.outage");
+  });
+  auto condition_visits = [&](std::size_t condition) {
+    return std::span<const SiteVisit>(visits).subspan(condition * n_sites, n_sites);
+  };
+
+  ResilienceResult result;
+
+  // --- Axis 1: Bernoulli vs Gilbert-Elliott at equal average loss ---------
+  std::size_t condition = 0;
+  for (double rate : config.loss_rates) {
+    for (bool bursty : {false, true}) {
+      LossTailRow row;
+      row.loss_rate = rate;
+      row.bursty = bursty;
       std::vector<double> h2_plts;
       std::vector<double> h3_plts;
-      obs::MetricsRegistry cell_metrics;
-      for (const SiteShard& shard : shards) {
-        h2_plts.push_back(to_ms(shard.h2.plt));
-        h3_plts.push_back(to_ms(shard.h3.plt));
-        cell_metrics.merge_from(*shard.metrics);
+      for (const SiteVisit& v : condition_visits(condition++)) {
+        h2_plts.push_back(to_ms(v.h2.plt));
+        h3_plts.push_back(to_ms(v.h3.plt));
+        row.packets_offered += v.packets_offered;
+        row.packets_dropped += v.packets_dropped;
+        row.dropped_bernoulli += v.dropped_bernoulli;
+        row.dropped_burst += v.dropped_burst;
       }
-      row.packets_offered = cell_metrics.counter("net.link.packets_offered").value();
-      row.packets_dropped = cell_metrics.counter("net.link.packets_dropped").value();
-      row.dropped_bernoulli = cell_metrics.counter("net.link.dropped.bernoulli").value();
-      row.dropped_burst = cell_metrics.counter("net.link.dropped.burst").value();
       row.pages = n_sites;
       row.h2_mean_plt_ms = util::mean(h2_plts);
       row.h2_p95_plt_ms = util::quantile(h2_plts, 0.95);
@@ -137,48 +158,28 @@ ResilienceResult run_resilience(const ResilienceConfig& config) {
   }
 
   // --- Axis 2: mid-transfer outage sweep (H3-enabled visits) --------------
-  // Fault-free paired baseline first: an outage-only profile makes no Rng
-  // draws, so pages the outage never touches replay the baseline byte for
-  // byte and their recovery penalty is exactly zero. Baseline visits record
-  // no metrics (null registry), exactly like the sequential path did.
-  std::vector<double> baseline_plt_ms(n_sites, 0.0);
-  pool.parallel_for(n_sites, [&](std::size_t site) {
-    const web::WebPage& page = workload.sites[site].page;
-    baseline_plt_ms[site] =
-        to_ms(run_visit(workload, page, config.vantage, true, config, site, nullptr).plt);
-  });
-
+  const auto baseline_visits = condition_visits(baseline);
+  condition = baseline + 1;
   for (Duration outage_duration : config.outage_durations) {
     OutageRow row;
     row.outage = outage_duration;
     row.pages = n_sites;
-    browser::VantageConfig vantage = config.vantage;
-    vantage.fault_profile.outages.push_back(
-        net::Outage{config.outage_start, outage_duration, config.outage_kind});
-    std::vector<SiteShard> shards(n_sites);
-    pool.parallel_for(n_sites, [&](std::size_t site) {
-      SiteShard& shard = shards[site];
-      shard.metrics = std::make_unique<obs::MetricsRegistry>();
-      const web::WebPage& page = workload.sites[site].page;
-      shard.h3 = run_visit(workload, page, vantage, true, config, site, shard.metrics.get());
-    });
     std::size_t pages_with_fallback = 0;
     std::vector<double> penalties_ms;
-    obs::MetricsRegistry cell_metrics;
+    const auto cells = condition_visits(condition++);
     for (std::size_t site = 0; site < n_sites; ++site) {
-      const VisitOutcome& v = shards[site].h3;
-      row.connection_deaths += v.connection_deaths;
-      row.h3_fallbacks += v.h3_fallbacks;
-      row.requests_rescued += v.requests_rescued;
-      row.requests_failed += v.requests_failed;
-      if (v.h3_fallbacks > 0) ++pages_with_fallback;
-      const double penalty = to_ms(v.plt) - baseline_plt_ms[site];
+      const SiteVisit& v = cells[site];
+      row.connection_deaths += v.h3.connection_deaths;
+      row.h3_fallbacks += v.h3.h3_fallbacks;
+      row.requests_rescued += v.h3.requests_rescued;
+      row.requests_failed += v.h3.requests_failed;
+      if (v.h3.h3_fallbacks > 0) ++pages_with_fallback;
+      const double penalty = to_ms(v.h3.plt) - to_ms(baseline_visits[site].h3.plt);
       if (penalty > 0.0) penalties_ms.push_back(penalty);
-      cell_metrics.merge_from(*shards[site].metrics);
+      row.packets_offered += v.packets_offered;
+      row.packets_dropped += v.packets_dropped;
+      row.dropped_outage += v.dropped_outage;
     }
-    row.packets_offered = cell_metrics.counter("net.link.packets_offered").value();
-    row.packets_dropped = cell_metrics.counter("net.link.packets_dropped").value();
-    row.dropped_outage = cell_metrics.counter("net.link.dropped.outage").value();
     row.fallback_page_rate =
         n_sites == 0 ? 0.0 : static_cast<double>(pages_with_fallback) / n_sites;
     if (!penalties_ms.empty()) {

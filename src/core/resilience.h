@@ -18,10 +18,10 @@
 //     so the delta isolates the outage's cost exactly).
 //
 // Fully deterministic: the same config produces byte-identical fault
-// schedules, metrics, and row ordering — at any `jobs` setting. Visits run
-// as independent shards on a util::ThreadPool; each records into its own
-// registry (installed thread-locally for the duration of the visit, never
-// a process-global one), and registries merge in site order afterwards.
+// schedules, metrics, and row ordering — at any `jobs` setting. Every
+// (condition, site) visit pair is one core::run_sweep cell (core/sweep.h)
+// that reads its link drop counters from its own observability shard; rows
+// fold per condition, in site order, afterwards.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +38,8 @@ namespace h3cdn::core {
 struct ResilienceConfig {
   std::size_t sites = 16;      // truncates the generated workload
   std::uint64_t seed = 7;
-  // Worker threads for the per-site visit fan-out (0 = hardware
-  // concurrency). Every visit is its own shard — own Simulator, Environment
-  // and metrics registry, installed thread-locally on whichever worker runs
-  // it — and per-visit registries merge in site order, so rows are
-  // byte-identical for any job count.
+  // Worker threads for the (condition, site) sweep (0 = hardware
+  // concurrency). Rows are byte-identical for any job count.
   int jobs = 0;
   web::WorkloadConfig workload;
   browser::VantageConfig vantage;  // geography; fault_profile is overwritten

@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <map>
 
-#include "core/observability.h"
 #include "core/probe_run.h"
+#include "core/sweep.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace h3cdn::core {
 
 MeasurementStudy::MeasurementStudy(StudyConfig config) : config_(std::move(config)) {
   H3CDN_EXPECTS(!config_.vantages.empty());
   H3CDN_EXPECTS(config_.probes_per_vantage >= 1);
-  H3CDN_EXPECTS(config_.jobs >= 0);
   if (!config_.link_profile.empty()) {
     const auto profile = net::LinkProfile::from_name(config_.link_profile);
     H3CDN_EXPECTS(profile.has_value());
@@ -35,11 +33,10 @@ StudyResult MeasurementStudy::run(std::shared_ptr<const web::Workload> workload)
   std::size_t site_count = workload->sites.size();
   if (config_.max_sites > 0) site_count = std::min(site_count, config_.max_sites);
 
-  // Canonical shard order: vantage-major, then probe, then H2 before H3 —
-  // the exact order the sequential loop visited. Everything downstream
-  // (visit concatenation, metrics/trace/waterfall merge) walks shards in
-  // this order, which is what makes output independent of the job count.
-  RunObservability* observability = config_.observability;
+  // Canonical cell order: vantage-major, then probe, then H2 before H3 —
+  // the exact order the sequential loop visited. run_sweep merges the
+  // observability shards in this order and the visits concatenate in it,
+  // which is what makes output independent of the job count.
   std::vector<ProbeRunTask> tasks;
   tasks.reserve(config_.vantages.size() * static_cast<std::size_t>(config_.probes_per_vantage) * 2);
   for (const auto& vantage_base : config_.vantages) {
@@ -52,37 +49,20 @@ StudyResult MeasurementStudy::run(std::shared_ptr<const web::Workload> workload)
         task.probe = probe;
         task.h3_enabled = h3_enabled;
         task.site_count = site_count;
-        task.shard_index = tasks.size();
         tasks.push_back(std::move(task));
       }
     }
   }
-  if (observability != nullptr) {
-    const ObservabilityConfig shard_config = observability->config().per_shard(tasks.size());
-    for (ProbeRunTask& task : tasks) task.observability = shard_config;
-  }
 
-  // Execute shards on the pool. Workers claim shards dynamically (uneven
-  // page weights self-balance); each shard installs its own thread-local
-  // sinks, so no synchronization is needed beyond the pool's queue.
-  std::vector<ShardResult> shards(tasks.size());
-  {
-    std::size_t jobs = config_.jobs == 0 ? util::ThreadPool::default_jobs()
-                                         : static_cast<std::size_t>(config_.jobs);
-    jobs = std::min(jobs, tasks.size());
-    util::ThreadPool pool(jobs);
-    pool.parallel_for(tasks.size(), [&](std::size_t i) { shards[i] = tasks[i].run(); });
-  }
+  std::vector<std::vector<PageVisitRecord>> rows(tasks.size());
+  run_sweep(tasks.size(), config_.jobs, config_.observability,
+            [&](std::size_t cell, RunObservability* shard) { rows[cell] = tasks[cell].run(shard); });
 
-  // Deterministic merge, canonical shard order.
   std::size_t visit_count = 0;
-  for (const ShardResult& shard : shards) visit_count += shard.visits.size();
+  for (const auto& visits : rows) visit_count += visits.size();
   result.visits.reserve(visit_count);
-  for (ShardResult& shard : shards) {
-    for (PageVisitRecord& rec : shard.visits) result.visits.push_back(std::move(rec));
-    if (observability != nullptr && shard.observability != nullptr) {
-      observability->merge_from(std::move(*shard.observability));
-    }
+  for (auto& visits : rows) {
+    for (PageVisitRecord& rec : visits) result.visits.push_back(std::move(rec));
   }
   return result;
 }

@@ -7,11 +7,11 @@
 // The consecutive mode (§VI-D) additionally keeps the TLS session-ticket
 // store alive across pages within a probe run, enabling resumption.
 //
-// Execution is sharded: every (vantage, probe, mode) run is an independent
-// ProbeRunTask (own Simulator, Environment, Rng fork and observability
-// sinks) executed on a util::ThreadPool and merged in canonical shard order,
-// so results are byte-identical for any `jobs` value. docs/PARALLELISM.md
-// documents the sharding model and the determinism contract.
+// Execution is a sweep: every (vantage, probe, mode) run is an independent
+// ProbeRunTask (own Simulator, Environment and Rng fork) executed by
+// core::run_sweep (core/sweep.h), which supplies per-cell observability
+// shards and merges in canonical cell order, so results are byte-identical
+// for any `jobs` value. docs/PARALLELISM.md documents the contract.
 #pragma once
 
 #include <memory>

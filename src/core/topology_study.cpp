@@ -6,14 +6,11 @@
 #include <sstream>
 
 #include "browser/waterfall.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/timeline.h"
+#include "core/sweep.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace h3cdn::core {
 
@@ -31,25 +28,14 @@ struct TopoCell {
   double loss_rate = 0.0;
 };
 
-struct TopoCellResult {
-  std::vector<TopologyHopRow> rows;  // e2e first, then hop0..hopN
-  std::unique_ptr<RunObservability> observability;
-};
-
 std::string loss_label(double loss_rate) { return util::fmt(loss_rate * 100.0, 2); }
 
-TopoCellResult run_topology_cell(const web::Workload& workload, const TopologyConfig& config,
-                                 const TopoCell& cell,
-                                 const std::optional<ObservabilityConfig>& obs_config) {
-  TopoCellResult out;
-  if (obs_config.has_value()) {
-    out.observability = std::make_unique<RunObservability>(*obs_config);
-  }
-  RunObservability* sink = out.observability.get();
-  obs::ScopedMetrics scoped_metrics(sink ? &sink->metrics() : nullptr);
-  obs::ScopedTimeline scoped_timeline(sink ? &sink->timeline() : nullptr);
-  obs::ScopedProfiler scoped_profiler(sink ? &sink->profiler() : nullptr);
-
+/// One (plan, loss) cell's rows: e2e first, then hop0..hopN. `sink` is the
+/// cell's run_sweep shard (null when observability is off).
+std::vector<TopologyHopRow> run_topology_cell(const web::Workload& workload,
+                                              const TopologyConfig& config, const TopoCell& cell,
+                                              RunObservability* sink) {
+  std::vector<TopologyHopRow> out;
   // Every cell draws from the SAME rng root on purpose: environments, chains
   // and browsers replay identical random streams, so plan-vs-plan and
   // proxied-vs-direct deltas are paired comparisons — only the per-hop
@@ -158,7 +144,7 @@ TopoCellResult run_topology_cell(const web::Workload& workload, const TopologyCo
   if (chain != nullptr && e2e.relayed_requests == 0) {
     e2e.violations.push_back("inert-chain: no requests traversed the relays");
   }
-  out.rows.push_back(std::move(e2e));
+  out.push_back(std::move(e2e));
 
   if (hop_sums.size() > 1) {
     for (std::size_t h = 0; h < hop_sums.size(); ++h) {
@@ -171,7 +157,7 @@ TopoCellResult run_topology_cell(const web::Workload& workload, const TopologyCo
       row.p95_plt_ms = p95_plt;
       row.mean_phases = hop_sums[h];
       if (sites > 0) row.mean_phases /= static_cast<double>(sites);
-      out.rows.push_back(std::move(row));
+      out.push_back(std::move(row));
     }
   }
   return out;
@@ -183,7 +169,6 @@ TopologyResult run_topology(const TopologyConfig& config, RunObservability* obse
   H3CDN_EXPECTS(!config.plans.empty());
   H3CDN_EXPECTS(!config.loss_rates.empty());
   H3CDN_EXPECTS(config.sites >= 1);
-  H3CDN_EXPECTS(config.jobs >= 0);
 
   web::WorkloadConfig wc = config.workload;
   wc.site_count = std::max(wc.site_count, config.sites);
@@ -216,29 +201,17 @@ TopologyResult run_topology(const TopologyConfig& config, RunObservability* obse
     for (double loss : config.loss_rates) cells.push_back({plan, loss});
   }
 
-  std::size_t jobs = config.jobs == 0 ? util::ThreadPool::default_jobs()
-                                      : static_cast<std::size_t>(config.jobs);
-  jobs = std::min(jobs, cells.size());
-  util::ThreadPool pool(jobs);
-
-  std::optional<ObservabilityConfig> shard_config;
-  if (observability != nullptr) {
-    shard_config = observability->config().per_shard(cells.size());
-  }
-
-  std::vector<TopoCellResult> shards(cells.size());
-  pool.parallel_for(cells.size(), [&](std::size_t i) {
-    shards[i] = run_topology_cell(workload, config, cells[i], shard_config);
-  });
+  std::vector<std::vector<TopologyHopRow>> cell_rows(cells.size());
+  run_sweep(cells.size(), config.jobs, observability,
+            [&](std::size_t i, RunObservability* shard) {
+              cell_rows[i] = run_topology_cell(workload, config, cells[i], shard);
+            });
 
   TopologyResult result;
   result.sites = std::min(config.sites, workload.sites.size());
   result.plans = plan_names;
-  for (TopoCellResult& shard : shards) {
-    for (TopologyHopRow& row : shard.rows) result.rows.push_back(std::move(row));
-    if (observability != nullptr && shard.observability != nullptr) {
-      observability->merge_from(std::move(*shard.observability));
-    }
+  for (auto& rows : cell_rows) {
+    for (TopologyHopRow& row : rows) result.rows.push_back(std::move(row));
   }
   return result;
 }

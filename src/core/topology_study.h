@@ -10,7 +10,7 @@
 // Single-token plans ("h3", "h2") are direct single-hop baselines, which is
 // where the proxied-vs-direct deltas come from (bench_topology's headline).
 //
-// Cells are independent shards on a util::ThreadPool merged in canonical
+// Cells run through core::run_sweep (core/sweep.h) and merge in canonical
 // (plan-major, then loss) order: every artifact is byte-identical at any
 // --jobs, which CI's topology smoke step pins.
 #pragma once

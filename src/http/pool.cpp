@@ -352,6 +352,10 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
   }
 
   resilience::Engine* eng = engine();
+  // fail_orphan runs the entry's completion callback, which can finish the
+  // page and destroy this pool: the orphan loops below stop touching it once
+  // the liveness token expires.
+  const std::weak_ptr<char> alive = alive_;
 
   // Whether a retry would exceed its budgets; None means "retry allowed".
   // Deadlines only exist under the engine; the attempt cap always does.
@@ -402,6 +406,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
     obs::count("http.pool.connections_refused");
     obs::tl_count("http.pool.connections_refused", sim_.now());
     for (auto& orphan : orphans) {
+      if (alive.expired()) return;
       if (const FailureReason reason = past_budget(orphan); reason != FailureReason::None) {
         fail_orphan(std::move(orphan), version, reason);
         continue;
@@ -462,6 +467,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
   }
 
   for (auto& orphan : orphans) {
+    if (alive.expired()) return;
     if (const FailureReason reason = past_budget(orphan); reason != FailureReason::None) {
       fail_orphan(std::move(orphan), version, reason);
       continue;

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "core/sweep.h"
 #include "load/farm.h"
 #include "load/fleet.h"
 #include "net/link_profile.h"
@@ -16,7 +17,6 @@
 #include "util/check.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace h3cdn::core {
 
@@ -153,25 +153,17 @@ bool ChaosResult::all_passed() const {
 
 namespace {
 
-struct CellShard {
-  ChaosCellRow row;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
-  std::unique_ptr<obs::TimelineRecorder> timeline;
-  obs::FaultAnnotation annotation;
-};
-
 void merge_fault_profile(net::FaultProfile& into, const net::FaultProfile& from) {
   if (from.gilbert_elliott.enabled) into.gilbert_elliott = from.gilbert_elliott;
   for (const auto& o : from.outages) into.outages.push_back(o);
   for (const auto& r : from.rtt_spikes) into.rtt_spikes.push_back(r);
 }
 
+/// `shard` is the cell's run_sweep shard (never null): the row's counters
+/// and fault annotation are read from it.
 ChaosCellRow run_chaos_cell(const web::Workload& workload, const ChaosConfig& config,
                             const ChaosScenario& sc, std::size_t index,
-                            obs::MetricsRegistry* metrics, obs::TimelineRecorder* timeline,
-                            obs::FaultAnnotation* annotation) {
-  obs::ScopedMetrics scoped(metrics);
-  obs::ScopedTimeline scoped_timeline(timeline);
+                            core::RunObservability& shard) {
   sim::Simulator sim;
   util::Rng root(util::derive_seed({config.seed, 0xC4A05ULL, index}));
 
@@ -261,7 +253,7 @@ ChaosCellRow run_chaos_cell(const web::Workload& workload, const ChaosConfig& co
     row.qoe_fcp_p95_ms = util::quantile_sorted(fcp_ms, 0.95);
   }
 
-  auto cval = [&](const char* name) { return metrics->counter(name).value(); };
+  auto cval = [&](const char* name) { return shard.metrics().counter(name).value(); };
   row.entries_submitted = cval("http.entries_submitted");
   row.entries_completed = cval("http.entries_completed");
   row.entries_failed = cval("http.entries_failed");
@@ -286,14 +278,15 @@ ChaosCellRow run_chaos_cell(const web::Workload& workload, const ChaosConfig& co
   row.phase_residual_ms = std::abs(out.phase_sum.sum() - plt_sum_ms);
 
   // Fault->recovery annotation: measured against the scripted fault window.
-  const obs::FaultAnnotation a = obs::annotate_fault_recovery(*timeline, scripted_fault_window(sc));
+  const obs::FaultAnnotation a =
+      obs::annotate_fault_recovery(shard.timeline(), scripted_fault_window(sc));
   row.degraded_windows = a.degraded_windows;
   row.detection_ms = a.detection_ms;
   row.recovery_ms = a.recovery_ms;
   row.mttr_ms = a.mttr_ms;
   row.time_to_breaker_open_ms = a.time_to_breaker_open_ms;
   row.time_to_breaker_close_ms = a.time_to_breaker_close_ms;
-  *annotation = a;
+  shard.add_fault_annotation(a);
 
   // --- Invariants (ISSUE 6): checked per cell, reported per row. ----------
   auto violate = [&](const std::string& what) { row.violations.push_back(what); };
@@ -376,44 +369,22 @@ ChaosCellRow run_chaos_cell(const web::Workload& workload, const ChaosConfig& co
 ChaosResult run_chaos(const ChaosConfig& config, core::RunObservability* observability) {
   H3CDN_EXPECTS(!config.scenarios.empty());
   H3CDN_EXPECTS(config.sites >= 1);
-  H3CDN_EXPECTS(config.jobs >= 0);
   web::WorkloadConfig wc = config.workload;
   wc.site_count = std::max(wc.site_count, config.sites);
   const web::Workload workload = web::generate_workload(wc);
 
-  const std::size_t n_cells = config.scenarios.size();
-  std::size_t jobs = config.jobs == 0 ? util::ThreadPool::default_jobs()
-                                      : static_cast<std::size_t>(config.jobs);
-  jobs = std::min(jobs, n_cells);
-  util::ThreadPool pool(jobs);
-
-  // Cells inherit the sink's timeline bucket so the canonical merge below
-  // never mixes widths.
-  const Duration bucket = observability != nullptr
-                              ? observability->timeline().bucket_width()
-                              : config.timeline_bucket;
-
-  // One shard per scenario; fold in canonical scenario order afterwards.
-  std::vector<CellShard> shards(n_cells);
-  pool.parallel_for(n_cells, [&](std::size_t cell) {
-    CellShard& shard = shards[cell];
-    shard.metrics = std::make_unique<obs::MetricsRegistry>();
-    shard.timeline = std::make_unique<obs::TimelineRecorder>(bucket);
-    shard.row = run_chaos_cell(workload, config, config.scenarios[cell], cell,
-                               shard.metrics.get(), shard.timeline.get(), &shard.annotation);
-  });
-
+  // Cells read their counters and timeline back, so they always need shards:
+  // without a caller sink, a local one takes the configured timeline bucket.
+  RunObservability local(ObservabilityConfig{.timeline_bucket = config.timeline_bucket});
   ChaosResult result;
   result.sites = std::min(config.sites, workload.sites.size());
   result.resilience_enabled = config.resilience.enabled;
-  for (CellShard& shard : shards) {
-    if (observability != nullptr) {
-      observability->metrics().merge_from(*shard.metrics);
-      observability->timeline().merge_from(*shard.timeline);
-      observability->add_fault_annotation(shard.annotation);
-    }
-    result.rows.push_back(std::move(shard.row));
-  }
+  result.rows.resize(config.scenarios.size());
+  run_sweep(result.rows.size(), config.jobs, observability != nullptr ? observability : &local,
+            [&](std::size_t cell, RunObservability* shard) {
+              result.rows[cell] =
+                  run_chaos_cell(workload, config, config.scenarios[cell], cell, *shard);
+            });
   return result;
 }
 

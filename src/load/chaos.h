@@ -11,9 +11,9 @@
 // typed success/failure, the pool's entry accounting conserves (submitted <=
 // completed + failed <= submitted + hedges launched, and every hedge settled
 // exactly once), the critical-path PhaseVector still sums to PLT, and each
-// scenario's expected fault signature actually fired. Cells are independent
-// shards merged in canonical order, so every artifact is byte-identical at
-// any --jobs.
+// scenario's expected fault signature actually fired. Cells run through
+// core::run_sweep and merge in canonical order, so every artifact is
+// byte-identical at any --jobs.
 //
 // The entry point lives in namespace core (it is a study-level driver like
 // the measurement study) but is compiled into the load library: the harness
@@ -168,10 +168,10 @@ struct ChaosResult {
 };
 
 /// Runs every scenario cell (parallel across cells, deterministic merge).
-/// When `observability` is non-null each cell's metrics and timeline merge
-/// into it in canonical scenario order — byte-identical output at any
-/// --jobs — and every cell's fault->recovery annotation is recorded for the
-/// fault_recovery.json artifact.
+/// When `observability` is non-null each cell's shard (metrics, timeline,
+/// profile and its fault->recovery annotation for fault_recovery.json)
+/// merges into it in canonical scenario order — byte-identical output at
+/// any --jobs.
 ChaosResult run_chaos(const ChaosConfig& config,
                       core::RunObservability* observability = nullptr);
 

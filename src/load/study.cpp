@@ -1,31 +1,22 @@
 #include "load/study.h"
 
 #include <algorithm>
-#include <memory>
 #include <ostream>
 #include <sstream>
 
+#include "core/sweep.h"
 #include "load/farm.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace h3cdn::load {
 
 namespace {
 
-struct CellShard {
-  LoadCellRow row;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
-};
-
 LoadCellRow run_cell(const web::Workload& workload, const LoadStudyConfig& config,
-                     double rate, std::size_t rate_index, bool h3,
-                     obs::MetricsRegistry* metrics) {
-  obs::ScopedMetrics scoped(metrics);
+                     double rate, std::size_t rate_index, bool h3) {
   sim::Simulator sim;
   // Both protocol modes of a rate share one seed root, so arrival schedules
   // and client path draws pair exactly; only the farm salt (server-side
@@ -151,36 +142,23 @@ LoadResult run_load_study(const LoadStudyConfig& config,
                           core::RunObservability* observability) {
   H3CDN_EXPECTS(!config.offered_rates.empty());
   H3CDN_EXPECTS(config.sites >= 1);
-  H3CDN_EXPECTS(config.jobs >= 0);
   web::WorkloadConfig wc = config.workload;
   wc.site_count = std::max(wc.site_count, config.sites);
   const web::Workload workload = web::generate_workload(wc);
 
-  const std::size_t n_cells = config.offered_rates.size() * 2;
-  std::size_t jobs = config.jobs == 0 ? util::ThreadPool::default_jobs()
-                                      : static_cast<std::size_t>(config.jobs);
-  jobs = std::min(jobs, n_cells);
-  util::ThreadPool pool(jobs);
-
-  // One shard per (rate, protocol) cell; fold in canonical order afterwards.
-  std::vector<CellShard> shards(n_cells);
-  pool.parallel_for(n_cells, [&](std::size_t cell) {
-    const std::size_t rate_index = cell / 2;
-    const bool h3 = (cell % 2) == 1;
-    CellShard& shard = shards[cell];
-    shard.metrics = std::make_unique<obs::MetricsRegistry>();
-    shard.row = run_cell(workload, config, config.offered_rates[rate_index], rate_index,
-                         h3, shard.metrics.get());
-  });
-
+  // One cell per (rate, protocol), rate-major with H2 before H3.
   LoadResult result;
   result.sites = std::min(config.sites, workload.sites.size());
   result.arrival = config.arrival;
   result.window = config.window;
-  for (CellShard& shard : shards) {
-    if (observability != nullptr) observability->metrics().merge_from(*shard.metrics);
-    result.rows.push_back(std::move(shard.row));
-  }
+  result.rows.resize(config.offered_rates.size() * 2);
+  core::run_sweep(result.rows.size(), config.jobs, observability,
+                  [&](std::size_t cell, core::RunObservability*) {
+                    const std::size_t rate_index = cell / 2;
+                    result.rows[cell] = run_cell(workload, config,
+                                                 config.offered_rates[rate_index], rate_index,
+                                                 (cell % 2) == 1);
+                  });
   return result;
 }
 

@@ -3,7 +3,7 @@
 // Sweeps offered load across cells of (rate x protocol): each cell runs a
 // virtual-client fleet against its own capacity-limited ServerFarm on a
 // private Simulator, so cells are embarrassingly parallel and merge
-// deterministically through the usual shard machinery. Both protocol modes
+// deterministically through core::run_sweep (core/sweep.h). Both protocol modes
 // of a rate share one seed root (paired arrivals and client paths); only the
 // server-noise salt differs, matching the probe-run convention.
 #pragma once
@@ -98,9 +98,10 @@ struct LoadResult {
   std::vector<LoadCellRow> rows;  // rate-major, H2 before H3
 };
 
-/// Runs the sweep. When `observability` is non-null, every cell's metrics
-/// (load.*, cdn.edge.*, transport.*, ...) merge into it in canonical cell
-/// order — byte-identical output at any --jobs.
+/// Runs the sweep. When `observability` is non-null, every cell records into
+/// its own shard (metrics, timeline, profile: load.*, cdn.edge.*,
+/// transport.*, ...), merged into it in canonical cell order — byte-identical
+/// output at any --jobs.
 LoadResult run_load_study(const LoadStudyConfig& config,
                           core::RunObservability* observability = nullptr);
 

@@ -1,8 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -15,19 +13,11 @@ namespace {
 constexpr std::size_t kMinBuckets = 32;
 constexpr std::uint32_t kSlotMask32 = 0xffffffffu;
 
-Simulator::Backend backend_from_env() {
-  const char* v = std::getenv("H3CDN_SIM_HEAP_SCHEDULER");
-  if (v != nullptr && *v != '\0' && std::string_view(v) != "0") {
-    return Simulator::Backend::Heap;
-  }
-  return Simulator::Backend::Calendar;
-}
-
 constexpr EventId make_event_id(std::uint32_t gen, std::uint32_t slot) {
   return (static_cast<EventId>(gen) << 32) | slot;
 }
 
-/// Strict (time, seq) order — the total order both cores fire events in.
+/// Strict (time, seq) order — the total order events fire in.
 constexpr bool entry_before(TimePoint at_a, std::uint64_t seq_a, TimePoint at_b,
                             std::uint64_t seq_b) {
   if (at_a != at_b) return at_a < at_b;
@@ -36,21 +26,21 @@ constexpr bool entry_before(TimePoint at_a, std::uint64_t seq_a, TimePoint at_b,
 
 }  // namespace
 
-Simulator::Simulator() : Simulator(backend_from_env()) {}
-
-Simulator::Simulator(Backend backend) : backend_(backend) {
-  if (backend_ == Backend::Calendar) buckets_.assign(kMinBuckets, kNilSlot);
-}
-
-// ---------------------------------------------------------------------------
-// Public API: thin dispatch over the two cores.
-// ---------------------------------------------------------------------------
+Simulator::Simulator() : buckets_(kMinBuckets, kNilSlot) {}
 
 EventId Simulator::schedule_at(TimePoint at, SmallFn fn) {
   H3CDN_EXPECTS(at >= now_);
   H3CDN_EXPECTS(static_cast<bool>(fn));
-  return backend_ == Backend::Calendar ? calendar_schedule(at, std::move(fn))
-                                       : heap_schedule(at, std::move(fn));
+  const std::uint32_t slot = acquire_slot();
+  Slot& s = slots_[slot];
+  s.at = at;
+  s.seq = next_seq_++;
+  s.live = true;
+  s.fn = std::move(fn);
+  calendar_link(slot);
+  ++live_;
+  if (live_ > 2 * buckets_.size()) calendar_resize(2 * buckets_.size());
+  return make_event_id(slots_[slot].gen, slot);
 }
 
 EventId Simulator::schedule_in(Duration delay, SmallFn fn) {
@@ -59,37 +49,42 @@ EventId Simulator::schedule_in(Duration delay, SmallFn fn) {
 }
 
 bool Simulator::cancel(EventId id) {
-  return backend_ == Backend::Calendar ? calendar_cancel(id) : heap_cancel(id);
+  const std::uint32_t slot = static_cast<std::uint32_t>(id & kSlotMask32);
+  const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  if (!s.live || s.gen != gen) return false;  // fired, recycled, or unknown
+  std::uint32_t* link = &buckets_[virtual_index(s.at) & (buckets_.size() - 1)];
+  while (*link != kNilSlot) {
+    if (*link == slot) {
+      *link = s.next;
+      --live_;
+      release_slot(slot);
+      return true;
+    }
+    link = &slots_[*link].next;
+  }
+  H3CDN_ASSERT(false && "live slot missing from its bucket");
+  return false;
 }
 
 std::size_t Simulator::run() {
   obs::ProfileScope profile("sim.run");
-  const std::size_t n = backend_ == Backend::Calendar ? calendar_run(TimePoint::max())
-                                                      : heap_run(TimePoint::max());
+  const std::size_t n = dispatch(TimePoint::max());
   obs::count("sim.events_executed", n);
   return n;
 }
 
 std::size_t Simulator::run_until(TimePoint until) {
   obs::ProfileScope profile("sim.run");
-  const std::size_t n =
-      backend_ == Backend::Calendar ? calendar_run(until) : heap_run(until);
+  const std::size_t n = dispatch(until);
   if (now_ < until) now_ = until;
   obs::count("sim.events_executed", n);
   return n;
 }
 
-bool Simulator::idle() const {
-  return backend_ == Backend::Calendar ? live_ == 0
-                                       : heap_.size() == cancelled_.size();
-}
-
-std::size_t Simulator::pending() const {
-  return backend_ == Backend::Calendar ? live_ : heap_.size() - cancelled_.size();
-}
-
 // ---------------------------------------------------------------------------
-// Calendar core: slab arena + adaptive-width bucket ring.
+// Slab arena + adaptive-width bucket ring.
 // ---------------------------------------------------------------------------
 
 std::uint32_t Simulator::acquire_slot() {
@@ -154,39 +149,6 @@ void Simulator::calendar_recalibrate() {
       1, 3 * static_cast<std::uint64_t>(span) / static_cast<std::uint64_t>(live_ - 1));
 }
 
-EventId Simulator::calendar_schedule(TimePoint at, SmallFn fn) {
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.at = at;
-  s.seq = next_seq_++;
-  s.live = true;
-  s.fn = std::move(fn);
-  calendar_link(slot);
-  ++live_;
-  if (live_ > 2 * buckets_.size()) calendar_resize(2 * buckets_.size());
-  return make_event_id(slots_[slot].gen, slot);
-}
-
-bool Simulator::calendar_cancel(EventId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id & kSlotMask32);
-  const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.live || s.gen != gen) return false;  // fired, recycled, or unknown
-  std::uint32_t* link = &buckets_[virtual_index(s.at) & (buckets_.size() - 1)];
-  while (*link != kNilSlot) {
-    if (*link == slot) {
-      *link = s.next;
-      --live_;
-      release_slot(slot);
-      return true;
-    }
-    link = &slots_[*link].next;
-  }
-  H3CDN_ASSERT(false && "live slot missing from its bucket");
-  return false;
-}
-
 std::uint32_t Simulator::calendar_pop(TimePoint bound) {
   if (live_ == 0) return kNilSlot;
   const std::size_t n = buckets_.size();
@@ -237,7 +199,7 @@ std::uint32_t Simulator::calendar_pop(TimePoint bound) {
   return slot;
 }
 
-std::size_t Simulator::calendar_run(TimePoint until) {
+std::size_t Simulator::dispatch(TimePoint until) {
   std::size_t n = 0;
   for (std::uint32_t slot; (slot = calendar_pop(until)) != kNilSlot;) {
     Slot& s = slots_[slot];
@@ -252,45 +214,6 @@ std::size_t Simulator::calendar_run(TimePoint until) {
     if (live_ * 8 < buckets_.size() && buckets_.size() > kMinBuckets) {
       calendar_resize(buckets_.size() / 2);
     }
-  }
-  return n;
-}
-
-// ---------------------------------------------------------------------------
-// Heap core: the reference binary-heap scheduler (pre-calendar structure:
-// priority queue + pending/cancelled id sets), kept for A/B verification and
-// as the microbench baseline.
-// ---------------------------------------------------------------------------
-
-EventId Simulator::heap_schedule(TimePoint at, SmallFn fn) {
-  const EventId id = next_heap_id_++;
-  heap_.push(HeapEvent{at, next_seq_++, id, std::move(fn)});
-  pending_ids_.insert(id);
-  return id;
-}
-
-bool Simulator::heap_cancel(EventId id) {
-  if (pending_ids_.find(id) == pending_ids_.end()) return false;  // fired or unknown
-  return cancelled_.insert(id).second;
-}
-
-std::size_t Simulator::heap_run(TimePoint until) {
-  std::size_t n = 0;
-  while (!heap_.empty() && heap_.top().at <= until) {
-    // priority_queue has no mutable top(); moving out is safe because pop()
-    // only needs the element to be in a valid (moved-from) state.
-    HeapEvent ev = std::move(const_cast<HeapEvent&>(heap_.top()));
-    heap_.pop();
-    pending_ids_.erase(ev.id);
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    H3CDN_ASSERT(ev.at >= now_);
-    now_ = ev.at;
-    ++executed_;
-    ++n;
-    ev.fn();
   }
   return n;
 }

@@ -5,26 +5,15 @@
 // order they were scheduled — this total order is what makes whole-study runs
 // bit-reproducible.
 //
-// Two interchangeable scheduler cores implement that contract
-// (docs/SCALING.md):
-//
-//  * Calendar (default): a calendar queue — a ring of time buckets whose
-//    width adapts to the observed event density — over a slab/free-list
-//    event arena. Buckets are intrusive chains threaded through the arena
-//    slots; the callback lives inline in its slot via SmallFn, so
-//    steady-state scheduling performs no per-event heap allocation and pops
-//    are O(1) amortized instead of O(log n).
-//  * Heap: the reference binary-heap scheduler (the pre-calendar
-//    implementation, kept verbatim in spirit: priority queue plus
-//    pending/cancelled id sets). Selected with the H3CDN_SIM_HEAP_SCHEDULER=1
-//    environment variable or an explicit constructor argument; used for A/B
-//    verification — both cores fire events in the identical total order —
-//    and as the baseline for the scheduler microbench.
+// The scheduler core is a calendar queue (docs/SCALING.md) — a ring of time
+// buckets whose width adapts to the observed event density — over a
+// slab/free-list event arena. Buckets are intrusive chains threaded through
+// the arena slots; the callback lives inline in its slot via SmallFn, so
+// steady-state scheduling performs no per-event heap allocation and pops are
+// O(1) amortized instead of O(log n).
 #pragma once
 
 #include <cstdint>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/small_fn.h"
@@ -33,22 +22,15 @@
 namespace h3cdn::sim {
 
 /// Handle for a scheduled event; usable to cancel it before it fires.
-/// Calendar core: packs (generation << 32 | arena slot); never zero.
+/// Packs (generation << 32 | arena slot); never zero.
 using EventId = std::uint64_t;
 
 /// Deterministic event-queue simulator with a microsecond virtual clock.
 class Simulator {
  public:
-  enum class Backend { Calendar, Heap };
-
-  /// Backend from the environment: Heap when H3CDN_SIM_HEAP_SCHEDULER is set
-  /// to a non-empty, non-"0" value, Calendar otherwise.
   Simulator();
-  explicit Simulator(Backend backend);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  [[nodiscard]] Backend backend() const { return backend_; }
 
   /// Current virtual time.
   [[nodiscard]] TimePoint now() const { return now_; }
@@ -61,8 +43,8 @@ class Simulator {
   EventId schedule_in(Duration delay, SmallFn fn);
 
   /// Cancels a pending event. Returns false if it already fired or was
-  /// cancelled. Calendar core: removes the entry and recycles its arena slot
-  /// immediately, so pending() stays exact with no shadow bookkeeping.
+  /// cancelled. Removes the entry and recycles its arena slot immediately,
+  /// so pending() stays exact with no shadow bookkeeping.
   bool cancel(EventId id);
 
   /// Runs until the queue drains. Returns the number of events executed.
@@ -72,17 +54,17 @@ class Simulator {
   std::size_t run_until(TimePoint until);
 
   /// True if no runnable (non-cancelled) events remain.
-  [[nodiscard]] bool idle() const;
+  [[nodiscard]] bool idle() const { return live_ == 0; }
 
   /// Number of events executed since construction.
   [[nodiscard]] std::size_t events_executed() const { return executed_; }
 
   /// Number of currently pending (non-cancelled) events. Exact under
   /// arbitrary schedule/cancel/pop interleavings.
-  [[nodiscard]] std::size_t pending() const;
+  [[nodiscard]] std::size_t pending() const { return live_; }
 
  private:
-  // --- calendar core: event arena -----------------------------------------
+  // --- event arena ----------------------------------------------------------
   // One slot per live event. Slots are recycled through a free list; the
   // generation counter in the EventId makes stale handles (fired or
   // cancelled events) fail cancel() without any side table. Each bucket of
@@ -112,9 +94,8 @@ class Simulator {
     return static_cast<std::uint64_t>(at.count()) / width_us_;
   }
 
-  EventId calendar_schedule(TimePoint at, SmallFn fn);
-  bool calendar_cancel(EventId id);
-  std::size_t calendar_run(TimePoint until);
+  /// Fires events with time <= until in (time, seq) order.
+  std::size_t dispatch(TimePoint until);
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
@@ -123,31 +104,6 @@ class Simulator {
   std::uint64_t base_vi_ = 0;      // virtual bucket index of the current time
   std::size_t live_ = 0;           // pending (non-cancelled) events
 
-  // --- heap core (reference) ----------------------------------------------
-  struct HeapEvent {
-    TimePoint at{0};
-    std::uint64_t seq = 0;
-    EventId id = 0;
-    SmallFn fn;
-  };
-  struct HeapLater {
-    bool operator()(const HeapEvent& a, const HeapEvent& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  EventId heap_schedule(TimePoint at, SmallFn fn);
-  bool heap_cancel(EventId id);
-  std::size_t heap_run(TimePoint until);
-
-  std::priority_queue<HeapEvent, std::vector<HeapEvent>, HeapLater> heap_;
-  std::unordered_set<EventId> pending_ids_;
-  std::unordered_set<EventId> cancelled_;
-  EventId next_heap_id_ = 1;
-
-  // --- shared --------------------------------------------------------------
-  Backend backend_ = Backend::Calendar;
   TimePoint now_{0};
   std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;

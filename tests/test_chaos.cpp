@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/observability.h"
+
 namespace h3cdn::core {
 namespace {
 
@@ -101,6 +103,30 @@ TEST(Chaos, MidTransferKillNeedsTheEngineToCompletePages) {
   EXPECT_EQ(off->resumed_bytes, 0u) << "legacy rescue must not send Range requests";
   EXPECT_LT(on->failed_visits, off->failed_visits)
       << "resumption should complete pages the legacy rescue loses";
+}
+
+TEST(Chaos, OrphanFailureThatFinishesThePageStopsTouchingItsPool) {
+  // In this suite's midtransfer-kill cell, failing one orphan of a killed
+  // session completes the page, which destroys the pool while its death
+  // handler is still looping over the remaining orphans. The loop must stop
+  // there: reading the freed pool is a use-after-free (AddressSanitizer
+  // reports it) and stamps timeline points at garbage sim times.
+  ChaosConfig cfg = small_config();
+  std::vector<ChaosScenario> keep;
+  for (const auto& sc : cfg.scenarios) {
+    if (sc.name == "baseline" || sc.name == "edge-outage-midpage" ||
+        sc.name == "midtransfer-kill") {
+      keep.push_back(sc);
+    }
+  }
+  ASSERT_EQ(keep.size(), 3u);
+  cfg.scenarios = keep;
+  RunObservability obs;
+  const ChaosResult result = run_chaos(cfg, &obs);
+  EXPECT_TRUE(result.all_passed()) << violations_of(result);
+  // Cells drain within seconds of their 4 s window; garbage times land
+  // ~10^8 windows out.
+  EXPECT_LT(obs.timeline().span_buckets(), 1000);
 }
 
 TEST(Chaos, EveryCellYieldsAFiniteMttrConsistentWithItsScriptedWindow) {

@@ -11,6 +11,8 @@
 #include "core/observability.h"
 #include "load/arrival.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
+#include "obs/timeline.h"
 
 namespace h3cdn::load {
 namespace {
@@ -232,6 +234,19 @@ TEST(LoadStudy, JobsDoNotChangeOutputOrMetrics) {
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(obs::metrics_to_json(obs1.metrics()), obs::metrics_to_json(obs4.metrics()));
   EXPECT_GT(obs1.metrics().counter("load.visits").value(), 0u);
+  // Load cells run with full sweep shards, so the timeline fills and the
+  // PLT SLO evaluates real data.
+  EXPECT_EQ(obs::timeline_to_json(obs1.timeline()), obs::timeline_to_json(obs4.timeline()));
+  const auto plt_series = obs1.timeline().histograms().find("load.plt_ms");
+  ASSERT_NE(plt_series, obs1.timeline().histograms().end());
+  EXPECT_FALSE(plt_series->second.empty());
+  bool plt_slo_seen = false;
+  for (const obs::SloResult& r : obs::evaluate_slos(obs1.timeline(), obs1.config().slo)) {
+    if (r.objective.name != "plt-p95-under-2s") continue;
+    plt_slo_seen = true;
+    EXPECT_FALSE(r.no_data);
+  }
+  EXPECT_TRUE(plt_slo_seen);
 }
 
 TEST(LoadStudy, LatencyAndQueueDegradeAcrossTheCapacityKnee) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace h3cdn::sim {
@@ -138,23 +140,12 @@ TEST(SimulatorDeath, PastSchedulingAborts) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler-core contract, checked against BOTH backends: the calendar queue
-// and the reference heap must be observably interchangeable.
+// Scheduler contract: same-time FIFO, cancellation, run_until boundaries and
+// exact pending() under interleaved schedule/cancel/run.
 // ---------------------------------------------------------------------------
 
-class SchedulerBackendTest : public ::testing::TestWithParam<Simulator::Backend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, SchedulerBackendTest,
-                         ::testing::Values(Simulator::Backend::Calendar,
-                                           Simulator::Backend::Heap),
-                         [](const auto& info) {
-                           return info.param == Simulator::Backend::Calendar
-                                      ? "Calendar"
-                                      : "Heap";
-                         });
-
-TEST_P(SchedulerBackendTest, SameTimestampFifo) {
-  Simulator sim(GetParam());
+TEST(Scheduler, SameTimestampFifo) {
+  Simulator sim;
   std::vector<int> order;
   // Interleave two timestamps so same-time FIFO must hold per timestamp even
   // when insertions alternate.
@@ -170,8 +161,8 @@ TEST_P(SchedulerBackendTest, SameTimestampFifo) {
   }
 }
 
-TEST_P(SchedulerBackendTest, CancelLastScheduledEvent) {
-  Simulator sim(GetParam());
+TEST(Scheduler, CancelLastScheduledEvent) {
+  Simulator sim;
   bool fired = false;
   sim.schedule_at(msec(1), [] {});
   const EventId last = sim.schedule_at(msec(2), [&] { fired = true; });
@@ -182,8 +173,8 @@ TEST_P(SchedulerBackendTest, CancelLastScheduledEvent) {
   EXPECT_EQ(sim.now(), msec(1));  // the cancelled tail never advanced the clock
 }
 
-TEST_P(SchedulerBackendTest, RunUntilIncludesEventExactlyAtBound) {
-  Simulator sim(GetParam());
+TEST(Scheduler, RunUntilIncludesEventExactlyAtBound) {
+  Simulator sim;
   std::vector<int> fired;
   sim.schedule_at(msec(10), [&] { fired.push_back(10); });
   sim.schedule_at(msec(20), [&] { fired.push_back(20); });  // exactly at bound
@@ -196,8 +187,8 @@ TEST_P(SchedulerBackendTest, RunUntilIncludesEventExactlyAtBound) {
   EXPECT_EQ(fired, (std::vector<int>{10, 20, 21}));
 }
 
-TEST_P(SchedulerBackendTest, RescheduleFromInsideCallback) {
-  Simulator sim(GetParam());
+TEST(Scheduler, RescheduleFromInsideCallback) {
+  Simulator sim;
   std::vector<std::int64_t> fired_at;
   EventId victim = 0;
   sim.schedule_at(msec(5), [&] {
@@ -216,8 +207,8 @@ TEST_P(SchedulerBackendTest, RescheduleFromInsideCallback) {
 // Regression for the pending() double-bookkeeping bug: under interleaved
 // schedule/cancel/run the old shadow-set accounting could drift from the
 // queue's true live count. pending() must stay exact at every step.
-TEST_P(SchedulerBackendTest, PendingExactUnderInterleaving) {
-  Simulator sim(GetParam());
+TEST(Scheduler, PendingExactUnderInterleaving) {
+  Simulator sim;
   std::vector<EventId> ids;
   std::size_t expected = 0;
   for (int round = 0; round < 20; ++round) {
@@ -245,15 +236,57 @@ TEST_P(SchedulerBackendTest, PendingExactUnderInterleaving) {
   EXPECT_TRUE(sim.idle());
 }
 
-// Differential fuzz: drive both cores through the same pseudo-random 10k-op
-// schedule/cancel/run_until script and require the identical firing order.
+// The scheduler contract in its plainest form: a (time, seq)-ordered map of
+// pending ops. The calendar queue must be observably identical to it.
+class ReferenceScheduler {
+ public:
+  [[nodiscard]] TimePoint now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+
+  std::uint64_t schedule_in(Duration delay, std::uint32_t op) {
+    queue_.emplace(std::pair{now_ + delay, next_seq_}, op);
+    return next_seq_++;
+  }
+
+  bool cancel(std::uint64_t seq) {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (it->first.second == seq) {
+        queue_.erase(it);
+        return true;
+      }
+    }
+    return false;  // fired, cancelled, or unknown
+  }
+
+  /// Fires ops with time <= until into `fired`; the clock ends at `until`.
+  std::size_t run_until(TimePoint until, std::vector<std::uint32_t>& fired) {
+    std::size_t n = 0;
+    while (!queue_.empty() && queue_.begin()->first.first <= until) {
+      now_ = queue_.begin()->first.first;
+      fired.push_back(queue_.begin()->second);
+      queue_.erase(queue_.begin());
+      ++n;
+    }
+    if (now_ < until && until != TimePoint::max()) now_ = until;
+    return n;
+  }
+
+ private:
+  std::multimap<std::pair<TimePoint, std::uint64_t>, std::uint32_t> queue_;
+  std::uint64_t next_seq_ = 0;
+  TimePoint now_{0};
+};
+
+// Differential fuzz: drive the simulator and the reference model through the
+// same pseudo-random 10k-op schedule/cancel/run_until script and require the
+// identical firing order, clock, pending count and cancel results.
 TEST(SchedulerDifferential, TenThousandOpFuzz) {
-  Simulator cal(Simulator::Backend::Calendar);
-  Simulator heap(Simulator::Backend::Heap);
-  std::vector<std::uint32_t> cal_fired;
-  std::vector<std::uint32_t> heap_fired;
-  std::vector<EventId> cal_ids;
-  std::vector<EventId> heap_ids;
+  Simulator sim;
+  ReferenceScheduler ref;
+  std::vector<std::uint32_t> sim_fired;
+  std::vector<std::uint32_t> ref_fired;
+  std::vector<EventId> sim_ids;
+  std::vector<std::uint64_t> ref_ids;
 
   std::uint64_t lcg = 0xdeadbeefcafef00dull;
   auto rnd = [&lcg] {
@@ -267,26 +300,25 @@ TEST(SchedulerDifferential, TenThousandOpFuzz) {
       // Schedule at a horizon that clusters events (same-time collisions are
       // the interesting case for FIFO order).
       const Duration delay = usec(static_cast<std::int64_t>(rnd() % 5'000));
-      cal_ids.push_back(cal.schedule_in(delay, [&cal_fired, op] { cal_fired.push_back(op); }));
-      heap_ids.push_back(
-          heap.schedule_in(delay, [&heap_fired, op] { heap_fired.push_back(op); }));
-    } else if (kind < 90 && !cal_ids.empty()) {
+      sim_ids.push_back(sim.schedule_in(delay, [&sim_fired, op] { sim_fired.push_back(op); }));
+      ref_ids.push_back(ref.schedule_in(delay, op));
+    } else if (kind < 90 && !sim_ids.empty()) {
       // Cancel a random previously issued id; outcomes must agree even for
       // already-fired or already-cancelled handles.
-      const std::size_t pick = rnd() % cal_ids.size();
-      EXPECT_EQ(cal.cancel(cal_ids[pick]), heap.cancel(heap_ids[pick])) << "op " << op;
+      const std::size_t pick = rnd() % sim_ids.size();
+      EXPECT_EQ(sim.cancel(sim_ids[pick]), ref.cancel(ref_ids[pick])) << "op " << op;
     } else {
       // Advance both clocks through a bounded run.
-      const TimePoint until = cal.now() + usec(static_cast<std::int64_t>(rnd() % 2'000));
-      EXPECT_EQ(cal.run_until(until), heap.run_until(until)) << "op " << op;
-      ASSERT_EQ(cal.now(), heap.now()) << "op " << op;
+      const TimePoint until = sim.now() + usec(static_cast<std::int64_t>(rnd() % 2'000));
+      EXPECT_EQ(sim.run_until(until), ref.run_until(until, ref_fired)) << "op " << op;
+      ASSERT_EQ(sim.now(), ref.now()) << "op " << op;
     }
-    ASSERT_EQ(cal.pending(), heap.pending()) << "op " << op;
+    ASSERT_EQ(sim.pending(), ref.pending()) << "op " << op;
   }
-  EXPECT_EQ(cal.run(), heap.run());
-  EXPECT_EQ(cal.now(), heap.now());
-  ASSERT_EQ(cal_fired, heap_fired);
-  EXPECT_EQ(cal.events_executed(), heap.events_executed());
+  EXPECT_EQ(sim.run(), ref.run_until(TimePoint::max(), ref_fired));
+  EXPECT_EQ(sim.now(), ref.now());
+  ASSERT_EQ(sim_fired, ref_fired);
+  EXPECT_EQ(sim.events_executed(), ref_fired.size());
 }
 
 }  // namespace
