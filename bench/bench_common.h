@@ -2,7 +2,8 @@
 //
 // Every binary reproduces one table or figure of the paper at full scale
 // (325 sites, 3 vantage points) and prints the measured rows next to the
-// paper-reported values. Scale can be adjusted via environment variables:
+// paper-reported values. Scale can be adjusted via environment variables
+// (positive integers; anything else exits 2):
 //   H3CDN_BENCH_SITES   (default 325)
 //   H3CDN_BENCH_PROBES  (default 1 probe per vantage; the paper used 3)
 //
@@ -17,10 +18,12 @@
 
 #include <sys/resource.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -34,11 +37,20 @@
 
 namespace h3cdn::bench {
 
+/// A positive integer from the environment, or `fallback` when `name` is
+/// unset. Any other value (0, empty, non-numeric) exits 2 with a message
+/// rather than silently running the default scale.
 inline std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
-  const long parsed = std::strtol(v, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+  std::size_t parsed = 0;
+  const char* end = v + std::strlen(v);
+  const auto [stop, ec] = std::from_chars(v, end, parsed);
+  if (ec != std::errc() || stop != end || parsed == 0) {
+    std::cerr << name << " must be a positive integer, got '" << v << "'\n";
+    std::exit(2);
+  }
+  return parsed;
 }
 
 /// Full-scale study configuration mirroring the paper's §III setup.

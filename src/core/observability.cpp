@@ -50,19 +50,15 @@ void RunObservability::add_fault_annotation(obs::FaultAnnotation annotation) {
 
 void RunObservability::merge_from(RunObservability&& shard) {
   metrics_.merge_from(shard.metrics_);
-  timeline_.merge_from(shard.timeline_);
   for (obs::FaultAnnotation& a : shard.fault_annotations_) {
     fault_annotations_.push_back(std::move(a));
   }
   shard.fault_annotations_.clear();
-  shard.timeline_.clear();
-  profiler_.merge_from(shard.profiler_);
   traces_.merge_from(std::move(shard.traces_));
   connection_traces_ += shard.connection_traces_;
   for (obs::Waterfall& w : shard.waterfalls_) add_waterfall(std::move(w));
   shard.waterfalls_.clear();
   shard.metrics_.clear();
-  shard.profiler_.clear();
   shard.connection_traces_ = 0;
 }
 
@@ -94,7 +90,7 @@ bool RunObservability::write_artifacts(const std::string& dir, std::string* erro
     if (error) *error = "cannot create " + dir + ": " + ec.message();
     return false;
   }
-  const std::vector<obs::SloResult> slo_results = obs::evaluate_slos(timeline_, config_.slo);
+  const std::vector<obs::SloResult> slo_results = obs::evaluate_slos(timeline(), config_.slo);
   return write_file(base / "metrics.json", obs::metrics_to_json(metrics_), error) &&
          write_file(base / "metrics.csv", obs::metrics_to_csv(metrics_), error) &&
          write_file(base / "metrics.prom", obs::metrics_to_prometheus(metrics_), error) &&
@@ -102,16 +98,16 @@ bool RunObservability::write_artifacts(const std::string& dir, std::string* erro
          write_file(base / "waterfalls.json", obs::waterfalls_to_json(waterfalls_), error) &&
          write_file(base / "attribution.json",
                     obs::attribution_to_json(obs::attribute_pages(waterfalls_)), error) &&
-         write_file(base / "profile.json", profiler_.to_json(), error) &&
-         write_file(base / "timeline.json", obs::timeline_to_json(timeline_), error) &&
-         write_file(base / "timeline.csv", obs::timeline_to_csv(timeline_), error) &&
-         write_file(base / "slo.json", obs::slo_to_json(timeline_, slo_results), error) &&
+         write_file(base / "profile.json", profiler().to_json(), error) &&
+         write_file(base / "timeline.json", obs::timeline_to_json(timeline()), error) &&
+         write_file(base / "timeline.csv", obs::timeline_to_csv(timeline()), error) &&
+         write_file(base / "slo.json", obs::slo_to_json(timeline(), slo_results), error) &&
          write_file(base / "trace.perfetto.json", obs::to_chrome_trace_json(waterfalls_, &traces_),
                     error) &&
          (fault_annotations_.empty() ||
           write_file(base / "fault_recovery.json",
                      obs::fault_annotations_to_json(fault_annotations_,
-                                                    to_ms(timeline_.bucket_width())),
+                                                    to_ms(timeline().bucket_width())),
                      error));
 }
 

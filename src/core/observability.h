@@ -1,6 +1,7 @@
-// Run-level observability bundle: one object owning the metrics registry,
-// wall-clock profiler, trace aggregator, and collected waterfalls for a
-// study run, plus the artifact writer that turns them into files.
+// Run-level observability bundle: one object owning the metrics registry
+// (which holds the run's timeline and wall-clock profiler), trace
+// aggregator, and collected waterfalls for a study run, plus the artifact
+// writer that turns them into files.
 //
 // Wiring (see docs/OBSERVABILITY.md):
 //   core::RunObservability obs;
@@ -9,7 +10,9 @@
 //   core::MeasurementStudy(cfg).run();
 //   obs.write_artifacts("out/obs");   // metrics.{json,csv,prom}, qlog.json,
 //                                     // waterfalls.json, attribution.json,
-//                                     // profile.json
+//                                     // profile.json, timeline.{json,csv},
+//                                     // slo.json, trace.perfetto.json,
+//                                     // fault_recovery.json (chaos only)
 #pragma once
 
 #include <memory>
@@ -19,9 +22,7 @@
 
 #include "obs/fault_window.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/slo.h"
-#include "obs/timeline.h"
 #include "obs/trace_hub.h"
 #include "obs/waterfall.h"
 
@@ -57,16 +58,16 @@ struct ObservabilityConfig {
 class RunObservability {
  public:
   explicit RunObservability(ObservabilityConfig config = {})
-      : config_(std::move(config)), timeline_(config_.timeline_bucket) {}
+      : config_(std::move(config)), metrics_(config_.timeline_bucket) {}
   RunObservability(const RunObservability&) = delete;
   RunObservability& operator=(const RunObservability&) = delete;
 
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
-  [[nodiscard]] obs::TimelineRecorder& timeline() { return timeline_; }
-  [[nodiscard]] const obs::TimelineRecorder& timeline() const { return timeline_; }
-  [[nodiscard]] obs::PhaseProfiler& profiler() { return profiler_; }
-  [[nodiscard]] const obs::PhaseProfiler& profiler() const { return profiler_; }
+  [[nodiscard]] obs::TimelineRecorder& timeline() { return metrics_.timeline(); }
+  [[nodiscard]] const obs::TimelineRecorder& timeline() const { return metrics_.timeline(); }
+  [[nodiscard]] obs::PhaseProfiler& profiler() { return metrics_.profiler(); }
+  [[nodiscard]] const obs::PhaseProfiler& profiler() const { return metrics_.profiler(); }
   [[nodiscard]] obs::TraceAggregator& traces() { return traces_; }
   [[nodiscard]] const obs::TraceAggregator& traces() const { return traces_; }
   [[nodiscard]] const std::vector<obs::Waterfall>& waterfalls() const { return waterfalls_; }
@@ -89,9 +90,9 @@ class RunObservability {
     return fault_annotations_;
   }
 
-  /// Folds a per-shard sink into this run-level one: metrics, the timeline
-  /// (bucket-wise), fault annotations, and profiler phases merge
-  /// (obs::MetricsRegistry::merge_from semantics), the shard's
+  /// Folds a per-shard sink into this run-level one: the registry (metrics,
+  /// the bucket-wise timeline and profiler phases; see
+  /// obs::MetricsRegistry::merge_from) and fault annotations merge, the shard's
   /// traces are appended after the ones already registered, and its
   /// waterfalls are re-admitted through add_waterfall (so the run-level
   /// max_waterfalls cap still binds). Callers must merge shards in canonical
@@ -110,8 +111,6 @@ class RunObservability {
  private:
   ObservabilityConfig config_;
   obs::MetricsRegistry metrics_;
-  obs::TimelineRecorder timeline_;
-  obs::PhaseProfiler profiler_;
   obs::TraceAggregator traces_;
   std::vector<obs::Waterfall> waterfalls_;
   std::vector<obs::FaultAnnotation> fault_annotations_;

@@ -5,7 +5,7 @@
 
 #include "browser/browser.h"
 #include "browser/waterfall.h"
-#include "obs/profiler.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "tls/ticket_store.h"
 #include "util/check.h"

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/timeline.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -29,8 +27,6 @@ void run_sweep(std::size_t cells, int jobs, RunObservability* sink,
       }
       RunObservability* shard = shards[cell].get();
       obs::ScopedMetrics scoped_metrics(shard ? &shard->metrics() : nullptr);
-      obs::ScopedTimeline scoped_timeline(shard ? &shard->timeline() : nullptr);
-      obs::ScopedProfiler scoped_profiler(shard ? &shard->profiler() : nullptr);
       run_cell(cell, shard);
     });
   }

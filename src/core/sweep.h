@@ -4,8 +4,9 @@
 //
 // run_sweep executes run_cell(0..cells-1) on a util::ThreadPool. With a
 // non-null `sink`, each cell gets a private RunObservability (the sink's
-// config split by per_shard(cells)) installed thread-locally as the metrics
-// registry, timeline and profiler for the duration of the cell; afterwards
+// config split by per_shard(cells)) whose metrics registry — the one sink
+// that also holds the timeline and profiler — is installed thread-locally
+// for the duration of the cell; afterwards
 // the shards merge into `sink` in cell order. With a null sink every cell
 // sees a null shard and no sink is installed. Callers pre-size their own row
 // vector and write rows[cell], so rows and every merged artifact are

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 #include "util/check.h"
 
 namespace h3cdn::dns {
@@ -124,8 +123,7 @@ void Resolver::report_failure(const std::string& name, TimePoint now) {
   DnsRecord* record = cache_.find(name);
   if (record == nullptr || record->address_count <= 1) return;
   ++stats_.failover_reports;
-  obs::count("dns.failover.reports");
-  obs::tl_count("dns.failover.reports", now);
+  obs::count("dns.failover.reports", now);
   if (record->unhealthy_until.size() < record->address_count) {
     record->unhealthy_until.resize(record->address_count, TimePoint{0});
   }
@@ -135,8 +133,7 @@ void Resolver::report_failure(const std::string& name, TimePoint now) {
     if (record->address_healthy(candidate, now)) {
       record->preferred = candidate;
       ++stats_.failover_switches;
-      obs::count("dns.failover.switches");
-      obs::tl_count("dns.failover.switches", now);
+      obs::count("dns.failover.switches", now);
       return;
     }
   }
@@ -149,16 +146,14 @@ void Resolver::report_failure(const std::string& name, TimePoint now) {
   if (best != record->preferred) {
     record->preferred = best;
     ++stats_.failover_switches;
-    obs::count("dns.failover.switches");
-    obs::tl_count("dns.failover.switches", now);
+    obs::count("dns.failover.switches", now);
   }
 }
 
 void Resolver::resolve(const std::string& name, std::function<void(TimePoint)> done) {
   H3CDN_EXPECTS(done != nullptr);
   ++stats_.queries;
-  obs::count("dns.queries");
-  obs::tl_count("dns.queries", sim_.now());
+  obs::count("dns.queries", sim_.now());
   if (const auto record = cache_.lookup(name, sim_.now())) {
     if (record->negative_valid_at(sim_.now())) {
       ++stats_.stub_cache_hits;
@@ -169,16 +164,14 @@ void Resolver::resolve(const std::string& name, std::function<void(TimePoint)> d
     // The positive record is valid but the negative (no-AAAA) answer has
     // expired: the dual-stack query pair must go out again (RFC 2308).
     ++stats_.negative_expiries;
-    obs::count("dns.negative_expiries");
-    obs::tl_count("dns.negative_expiries", sim_.now());
+    obs::count("dns.negative_expiries", sim_.now());
   }
-  if (obs::enabled() || obs::TimelineRecorder::global() != nullptr) {
+  if (obs::enabled()) {
     // Wrap the callback to record end-to-end resolve latency (cold path only;
     // the stub-cache hit above is instantaneous).
     const TimePoint started = sim_.now();
     done = [started, done = std::move(done)](TimePoint at) {
-      obs::observe_ms("dns.resolve_ms", at - started);
-      obs::tl_observe_ms("dns.resolve_ms", started, at - started);
+      obs::observe_ms("dns.resolve_ms", started, at - started);
       done(at);
     };
   }

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 #include "util/check.h"
 
 namespace h3cdn::http {
@@ -39,8 +38,7 @@ bool ConnectionPool::h3_broken(const std::string& domain) {
     // TTL expired: clear the mark; the caller's next H3 dial is the re-probe.
     h3_broken_until_.erase(it);
     ++stats_.h3_reprobes;
-    obs::count("http.pool.h3_reprobes");
-    obs::tl_count("http.pool.h3_reprobes", sim_.now());
+    obs::count("http.pool.h3_reprobes", sim_.now());
     record_fault(trace::EventType::H3ReProbe, trace::FaultKind::None);
     return false;
   }
@@ -99,24 +97,20 @@ std::shared_ptr<Session> ConnectionPool::make_session(const std::string& domain,
   switch (version) {
     case HttpVersion::H1_1:
       ++stats_.h1_connections;
-      obs::count("http.pool.connections.h1");
-      obs::tl_count("http.pool.connections.h1", sim_.now());
+      obs::count("http.pool.connections.h1", sim_.now());
       break;
     case HttpVersion::H2:
       ++stats_.h2_connections;
-      obs::count("http.pool.connections.h2");
-      obs::tl_count("http.pool.connections.h2", sim_.now());
+      obs::count("http.pool.connections.h2", sim_.now());
       break;
     case HttpVersion::H3:
       ++stats_.h3_connections;
-      obs::count("http.pool.connections.h3");
-      obs::tl_count("http.pool.connections.h3", sim_.now());
+      obs::count("http.pool.connections.h3", sim_.now());
       break;
   }
   if (mode != tls::HandshakeMode::Fresh) {
     ++stats_.resumed_connections;
-    obs::count("http.pool.resumed_connections");
-    obs::tl_count("http.pool.resumed_connections", sim_.now());
+    obs::count("http.pool.resumed_connections", sim_.now());
   }
   if (mode == tls::HandshakeMode::ZeroRtt) ++stats_.zero_rtt_connections;
 
@@ -180,8 +174,7 @@ std::shared_ptr<Session> ConnectionPool::session_for(const std::string& domain,
 void ConnectionPool::fetch(const Request& request, FetchDone done) {
   H3CDN_EXPECTS(!request.domain.empty());
   ++stats_.entries_submitted;
-  obs::count("http.entries_submitted");
-  obs::tl_count("http.entries_submitted", sim_.now());
+  obs::count("http.entries_submitted", sim_.now());
   auto& state = origin_state(request.domain);
   HttpVersion version = protocol_for(*state.info);
   if (config_.protocol_hint && state.info->supports_h2) {
@@ -211,8 +204,7 @@ void ConnectionPool::fetch(const Request& request, FetchDone done) {
     version = HttpVersion::H2;
     ++stats_.breaker_demotions;
     ++eng->stats.breaker_demotions;
-    obs::count("resilience.breaker.demotions");
-    obs::tl_count("resilience.breaker.demotions", sim_.now());
+    obs::count("resilience.breaker.demotions", sim_.now());
   }
 
   std::shared_ptr<Session> session = session_for(request.domain, state, version);
@@ -262,16 +254,13 @@ FetchDone ConnectionPool::with_resilience(const Request& routed, HttpVersion ver
       if (st->hedged) {
         if (t.failed) {
           ++eng->stats.hedges_cancelled;
-          obs::count("resilience.hedges_cancelled");
-          obs::tl_count("resilience.hedges_cancelled", sim_.now());
+          obs::count("resilience.hedges_cancelled", sim_.now());
         } else if (is_hedge_copy) {
           ++eng->stats.hedges_won;
-          obs::count("resilience.hedges_won");
-          obs::tl_count("resilience.hedges_won", sim_.now());
+          obs::count("resilience.hedges_won", sim_.now());
         } else {
           ++eng->stats.hedges_lost;
-          obs::count("resilience.hedges_lost");
-          obs::tl_count("resilience.hedges_lost", sim_.now());
+          obs::count("resilience.hedges_lost", sim_.now());
         }
       }
       if (!t.failed) {
@@ -300,8 +289,7 @@ FetchDone ConnectionPool::with_resilience(const Request& routed, HttpVersion ver
           ++st->outstanding;
           ++eng->stats.hedges_launched;
           ++stats_.hedges_launched;
-          obs::count("resilience.hedges_launched");
-          obs::tl_count("resilience.hedges_launched", sim_.now());
+          obs::count("resilience.hedges_launched", sim_.now());
           auto& state = origin_state(copy.domain);
           HttpVersion hedge_version = version;
           if (version == HttpVersion::H3) {
@@ -325,8 +313,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
                                      transport::ConnectionError error,
                                      std::vector<Session::Orphan> orphans) {
   ++stats_.connection_deaths;
-  obs::count("http.pool.connection_deaths");
-  obs::tl_count("http.pool.connection_deaths", sim_.now());
+  obs::count("http.pool.connection_deaths", sim_.now());
   const bool refused = error == transport::ConnectionError::Refused;
   const trace::FaultKind fault = refused ? trace::FaultKind::Refused
                                  : error == transport::ConnectionError::Blackhole
@@ -386,10 +373,8 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
         ++eng->stats.resumed_requests;
         stats_.resumed_bytes += saved;
         eng->stats.resumed_bytes += saved;
-        obs::count("resilience.resumed_requests");
-        obs::tl_count("resilience.resumed_requests", sim_.now());
-        obs::count("resilience.resumed_bytes", saved);
-        obs::tl_count("resilience.resumed_bytes", sim_.now(), saved);
+        obs::count("resilience.resumed_requests", sim_.now());
+        obs::count("resilience.resumed_bytes", sim_.now(), saved);
       }
     } else {
       orphan.bytes_received = 0;
@@ -403,8 +388,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
   // capacity pushback is not a path or protocol failure.
   if (refused) {
     ++stats_.connections_refused;
-    obs::count("http.pool.connections_refused");
-    obs::tl_count("http.pool.connections_refused", sim_.now());
+    obs::count("http.pool.connections_refused", sim_.now());
     for (auto& orphan : orphans) {
       if (alive.expired()) return;
       if (const FailureReason reason = past_budget(orphan); reason != FailureReason::None) {
@@ -413,14 +397,11 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
       }
       ++stats_.requests_rescued;
       ++stats_.refusal_retries;
-      obs::count("http.pool.requests_rescued");
-      obs::tl_count("http.pool.requests_rescued", sim_.now());
-      obs::count("http.pool.refusal_retries");
-      obs::tl_count("http.pool.refusal_retries", sim_.now());
+      obs::count("http.pool.requests_rescued", sim_.now());
+      obs::count("http.pool.refusal_retries", sim_.now());
       if (eng != nullptr) {
         ++eng->stats.retries;
-        obs::count("resilience.retries");
-        obs::tl_count("resilience.retries", sim_.now());
+        obs::count("resilience.retries", sim_.now());
       }
       record_fault(trace::EventType::FallbackTriggered, fault);
       prepare_resume(orphan);
@@ -460,8 +441,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
     h3_broken_until_[domain] = sim_.now() + config_.h3_broken_ttl;
     ++stats_.h3_broken_marks;
     ++stats_.h3_fallbacks;
-    obs::count("http.pool.h3_fallbacks");
-    obs::tl_count("http.pool.h3_fallbacks", sim_.now());
+    obs::count("http.pool.h3_fallbacks", sim_.now());
     record_fault(trace::EventType::H3BrokenMarked, fault);
     reroute = HttpVersion::H2;
   }
@@ -473,16 +453,14 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
       continue;
     }
     ++stats_.requests_rescued;
-    obs::count("http.pool.requests_rescued");
-    obs::tl_count("http.pool.requests_rescued", sim_.now());
+    obs::count("http.pool.requests_rescued", sim_.now());
     record_fault(trace::EventType::FallbackTriggered, fault);
     prepare_resume(orphan);
     if (eng != nullptr) {
       // Engine rescues back off (exponential + deterministic jitter) instead
       // of redialling instantly, so a dead edge is not hammered in lockstep.
       ++eng->stats.retries;
-      obs::count("resilience.retries");
-      obs::tl_count("resilience.retries", sim_.now());
+      obs::count("resilience.retries", sim_.now());
       const Duration backoff = eng->retry().backoff_for(orphan.attempts, rng_);
       sim_.schedule_in(backoff, [this, orphan = std::move(orphan), reroute,
                                  alive = std::weak_ptr<char>(alive_)]() mutable {
@@ -499,13 +477,11 @@ void ConnectionPool::fail_orphan(Session::Orphan orphan, HttpVersion version,
                                  FailureReason reason) {
   H3CDN_EXPECTS(reason != FailureReason::None);
   ++stats_.requests_failed;
-  obs::count("http.entries_failed");
-  obs::tl_count("http.entries_failed", sim_.now());
+  obs::count("http.entries_failed", sim_.now());
   if (reason == FailureReason::DeadlineExceeded) {
     ++stats_.deadline_failures;
     if (resilience::Engine* eng = engine()) ++eng->stats.deadline_failures;
-    obs::count("resilience.deadline_failures");
-    obs::tl_count("resilience.deadline_failures", sim_.now());
+    obs::count("resilience.deadline_failures", sim_.now());
   }
   EntryTimings t;
   t.started = orphan.submitted;

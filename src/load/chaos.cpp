@@ -11,7 +11,6 @@
 #include "load/fleet.h"
 #include "net/link_profile.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 #include "sim/simulator.h"
 #include "topology/chain.h"
 #include "util/check.h"

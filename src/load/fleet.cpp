@@ -3,7 +3,6 @@
 #include "browser/waterfall.h"
 #include "net/link_profile.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 #include "util/check.h"
 
 namespace h3cdn::load {
@@ -138,8 +137,7 @@ FleetOutcome Fleet::run() {
     auto arrivals = open_loop_arrivals(config_.arrival, arrival_rng);
     if (arrivals.size() > config_.max_visits) {
       outcome_.arrivals_capped = arrivals.size() - config_.max_visits;
-      obs::count("load.arrivals_capped", outcome_.arrivals_capped);
-      obs::tl_count("load.arrivals_capped", sim_.now(), outcome_.arrivals_capped);
+      obs::count("load.arrivals_capped", sim_.now(), outcome_.arrivals_capped);
       arrivals.resize(config_.max_visits);
     }
     outcome_.population = arrivals.size();
@@ -182,8 +180,7 @@ void Fleet::start_visit(std::size_t member, double weight) {
   --future_;
   ++active_;
   ++outcome_.arrivals;
-  obs::count("load.arrivals");
-  obs::tl_count("load.arrivals", sim_.now());
+  obs::count("load.arrivals", sim_.now());
   const web::WebPage& page = workload_.sites[member % site_count_].page;
   const std::uint32_t stratum = stratum_of(member, sim_.now());
   const std::size_t ci = checkout_client(profile_of(member));
@@ -200,8 +197,7 @@ void Fleet::start_visit(std::size_t member, double weight) {
 void Fleet::user_visit(std::size_t client_index, std::size_t user, double weight) {
   ++active_;
   ++outcome_.arrivals;
-  obs::count("load.arrivals");
-  obs::tl_count("load.arrivals", sim_.now());
+  obs::count("load.arrivals", sim_.now());
   const web::WebPage& page = workload_.sites[visit_counter_++ % site_count_].page;
   const TimePoint arrived = sim_.now();
   const std::uint32_t stratum = stratum_of(user, TimePoint{0});
@@ -265,20 +261,16 @@ void Fleet::finish_visit(std::size_t client_index, std::uint32_t root_id,
   outcome_.weight_sum += weight;
 
   const TimePoint finished = sim_.now();
-  obs::count("load.visits");
-  obs::tl_count("load.visits", finished);
+  obs::count("load.visits", finished);
   if (rec.root_failed) {
-    obs::count("load.visits_failed");
-    obs::tl_count("load.visits_failed", finished);
+    obs::count("load.visits_failed", finished);
   } else {
-    obs::observe("load.plt_ms", to_ms(rec.plt));
-    obs::observe("load.ttfb_ms", to_ms(rec.ttfb));
-    obs::observe("load.qoe_fcp_ms", rec.fcp_ms);
-    // Timeline samples land at the visit's ARRIVAL window: the latency of a
-    // page is a property of when its load started, which is what lines a PLT
+    // PLT and TTFB land in the visit's ARRIVAL window: the latency of a page
+    // is a property of when its load started, which is what lines a PLT
     // spike up against the fault window that caused it.
-    obs::tl_observe("load.plt_ms", arrived, to_ms(rec.plt));
-    obs::tl_observe("load.ttfb_ms", arrived, to_ms(rec.ttfb));
+    obs::observe("load.plt_ms", arrived, to_ms(rec.plt));
+    obs::observe("load.ttfb_ms", arrived, to_ms(rec.ttfb));
+    obs::observe("load.qoe_fcp_ms", rec.fcp_ms);
   }
   outcome_.visits.push_back(rec);
 }
@@ -288,14 +280,9 @@ void Fleet::sample_tick() {
   const ServerFarm::Sample s = farm_.sample(now);
   outcome_.queue_series.push_back(
       {now, s.accept_backlog, s.concurrent_connections, s.busy_cores});
-  obs::observe("load.queue_depth", static_cast<double>(s.accept_backlog));
-  obs::observe("load.concurrent_connections",
-               static_cast<double>(s.concurrent_connections));
-  obs::observe("load.busy_cores", static_cast<double>(s.busy_cores));
-  obs::tl_gauge_set("load.queue_depth", now, static_cast<double>(s.accept_backlog));
-  obs::tl_gauge_set("load.concurrent_connections", now,
-                    static_cast<double>(s.concurrent_connections));
-  obs::tl_gauge_set("load.busy_cores", now, static_cast<double>(s.busy_cores));
+  obs::sample("load.queue_depth", now, static_cast<double>(s.accept_backlog));
+  obs::sample("load.concurrent_connections", now, static_cast<double>(s.concurrent_connections));
+  obs::sample("load.busy_cores", now, static_cast<double>(s.busy_cores));
   if (active_ + future_ > 0) {
     sim_.schedule_in(config_.queue_sample_interval, [this] { sample_tick(); });
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "util/check.h"
 
 namespace h3cdn::net {

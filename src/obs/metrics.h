@@ -1,12 +1,18 @@
 // Run-wide metrics registry: named counters, gauges, and log-bucketed
 // HDR-style histograms that every simulator layer (net, transport, tls, dns,
-// http, cdn, browser, sim) registers into.
+// http, cdn, browser, sim) registers into. The registry is a shard's only
+// recording sink: it also owns the shard's sim-time TimelineRecorder
+// (obs/timeline.h) and wall-clock PhaseProfiler (obs/profiler.h), so one
+// installed pointer routes every hook below.
 //
 // Design rules:
 //   * Instrumentation is zero-cost when disabled. No registry is installed by
-//     default; the obs::count/observe helpers compile to a single pointer
-//     null-check in that case. Benchmarks hold the hot paths to < 2% overhead
-//     versus un-instrumented code.
+//     default; the obs::count/observe/sample hooks and ProfileScope compile
+//     to a single pointer null-check in that case. Benchmarks hold the hot
+//     paths to < 2% overhead versus un-instrumented code.
+//   * One hook call per event. The untimed hooks feed the run totals only;
+//     the timed overloads take the simulated instant `at` and feed the run
+//     totals and the timeline window holding `at`.
 //   * Each simulator shard is single-threaded and records into its own
 //     registry, so metrics are plain integers — no atomics, no locks,
 //     bit-reproducible given a deterministic run. The installed-registry
@@ -19,12 +25,15 @@
 //     http., cdn., browser., sim.). docs/OBSERVABILITY.md lists every series.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "obs/histogram.h"
+#include "obs/profiler.h"
+#include "obs/timeline.h"
 #include "util/types.h"
 
 namespace h3cdn::obs {
@@ -58,60 +67,15 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Log-bucketed histogram in the spirit of HDR histograms: geometric buckets
-/// with ~9% relative width, so percentile readouts are within one bucket
-/// (<= +9%/-0%) of the exact sample quantile while insertion is O(1) and
-/// memory is bounded regardless of sample count.
-class Histogram {
- public:
-  /// Values at or below the resolution floor land in the underflow bucket.
-  static constexpr double kMinValue = 1e-3;
-  /// Geometric bucket growth: 2^(1/8) per bucket (~9.05%).
-  static constexpr double kGrowth = 1.0905077326652577;
-
-  void observe(double v);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-
-  /// Percentile estimate, q in [0,1]: the upper bound of the bucket holding
-  /// the rank-q sample, clamped to the observed [min, max]. Within one bucket
-  /// width (~9%) of the exact sample quantile.
-  [[nodiscard]] double percentile(double q) const;
-
-  [[nodiscard]] double p50() const { return percentile(0.50); }
-  [[nodiscard]] double p90() const { return percentile(0.90); }
-  [[nodiscard]] double p99() const { return percentile(0.99); }
-  [[nodiscard]] double p999() const { return percentile(0.999); }
-
-  /// Shard merge: bucket counts, count, min and max combine exactly, so
-  /// percentiles of a merged histogram equal those of single-registry
-  /// recording regardless of how samples were split across shards. `sum` is
-  /// a float accumulation whose value depends on merge order only — merging
-  /// shards in canonical order therefore yields one reproducible result for
-  /// any job count.
-  void merge_from(const Histogram& other);
-
- private:
-  [[nodiscard]] std::size_t bucket_index(double v) const;
-  [[nodiscard]] double bucket_upper(std::size_t index) const;
-
-  std::vector<std::uint64_t> buckets_;  // [0] = underflow (v <= kMinValue)
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// One run's named metrics. Metric objects are owned by the registry and
-/// their addresses are stable for its lifetime; lookups create on first use.
-/// Iteration order is the lexicographic name order (deterministic exports).
+/// One run's named metrics, its timeline and its phase profile. Metric
+/// objects are owned by the registry and their addresses are stable for its
+/// lifetime; lookups create on first use. Iteration order is the
+/// lexicographic name order (deterministic exports).
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
+  /// `timeline_bucket` is the window width of the owned timeline.
+  explicit MetricsRegistry(Duration timeline_bucket = TimelineRecorder::kDefaultBucket)
+      : timeline_(timeline_bucket) {}
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -129,19 +93,26 @@ class MetricsRegistry {
     return histograms_;
   }
 
+  [[nodiscard]] TimelineRecorder& timeline() { return timeline_; }
+  [[nodiscard]] const TimelineRecorder& timeline() const { return timeline_; }
+  [[nodiscard]] PhaseProfiler& profiler() { return profiler_; }
+  [[nodiscard]] const PhaseProfiler& profiler() const { return profiler_; }
+
   /// Number of distinct named series (counters + gauges + histograms).
   [[nodiscard]] std::size_t series_count() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
+  /// Empties the run totals, the timeline and the profile.
   void clear();
 
   /// Folds `other` into this registry: counters and histogram buckets add,
   /// gauges take `other`'s value (last-writer in merge order), series missing
-  /// here are created. Merging every shard in canonical shard order
-  /// reproduces, series for series, what one shared registry would have
-  /// recorded sequentially (histogram `sum` is reproducible per merge order;
-  /// see Histogram::merge_from).
+  /// here are created; the timelines merge bucket-wise
+  /// (TimelineRecorder::merge_from) and the profiles phase-wise. Merging
+  /// every shard in canonical shard order reproduces, series for series,
+  /// what one shared registry would have recorded sequentially (histogram
+  /// `sum` is reproducible per merge order; see Histogram::merge_from).
   void merge_from(const MetricsRegistry& other);
 
   /// The registry installed on the *current thread* that instrumentation
@@ -158,6 +129,8 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  TimelineRecorder timeline_;
+  PhaseProfiler profiler_;
 };
 
 namespace detail {
@@ -196,23 +169,73 @@ class ScopedMetrics {
 [[nodiscard]] inline bool enabled() { return MetricsRegistry::global() != nullptr; }
 
 // --- Instrumentation hooks: one null-check when observability is off. -------
+// One call per event. The timed overloads carry the simulated instant `at`
+// explicitly: every call site already holds its Simulator clock, and passing
+// it keeps the registry free of any simulator dependency.
 
 inline void count(const char* name, std::uint64_t n = 1) {
   if (MetricsRegistry* r = MetricsRegistry::global()) r->counter(name).inc(n);
 }
 
-inline void gauge_set(const char* name, double v) {
-  if (MetricsRegistry* r = MetricsRegistry::global()) r->gauge(name).set(v);
+/// Counts into the run total and the timeline window holding `at`.
+inline void count(const char* name, TimePoint at, std::uint64_t n = 1) {
+  if (MetricsRegistry* r = MetricsRegistry::global()) {
+    r->counter(name).inc(n);
+    r->timeline().count(name, at, n);
+  }
 }
 
 inline void observe(const char* name, double v) {
   if (MetricsRegistry* r = MetricsRegistry::global()) r->histogram(name).observe(v);
 }
 
-/// Records a simulated duration in fractional milliseconds.
-inline void observe_ms(const char* name, Duration d) {
-  if (MetricsRegistry* r = MetricsRegistry::global()) r->histogram(name).observe(to_ms(d));
+/// Observes into the run histogram and the timeline window holding `at`.
+inline void observe(const char* name, TimePoint at, double v) {
+  if (MetricsRegistry* r = MetricsRegistry::global()) {
+    r->histogram(name).observe(v);
+    r->timeline().observe(name, at, v);
+  }
 }
+
+/// Records a simulated duration in fractional milliseconds.
+inline void observe_ms(const char* name, Duration d) { observe(name, to_ms(d)); }
+
+/// Records a simulated duration in fractional milliseconds, windowed at `at`.
+inline void observe_ms(const char* name, TimePoint at, Duration d) { observe(name, at, to_ms(d)); }
+
+/// Records a sampled level (queue depth, busy cores): a histogram of every
+/// sample in the run totals, and the window's last value as a timeline gauge.
+inline void sample(const char* name, TimePoint at, double v) {
+  if (MetricsRegistry* r = MetricsRegistry::global()) {
+    r->histogram(name).observe(v);
+    r->timeline().gauge_set(name, at, v);
+  }
+}
+
+/// RAII wall-clock scope timer into the installed registry's profiler.
+/// `name` must outlive the scope (use string literals). Costs one branch
+/// when no registry is installed.
+class ProfileScope {
+ public:
+  explicit ProfileScope(const char* name) : registry_(MetricsRegistry::global()), name_(name) {
+    if (registry_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  ~ProfileScope() {
+    if (registry_ == nullptr) return;
+    const auto elapsed = std::chrono::steady_clock::now() - start_;
+    registry_->profiler().record(
+        name_,
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
+  }
+  ProfileScope(const ProfileScope&) = delete;
+  ProfileScope& operator=(const ProfileScope&) = delete;
+
+ private:
+  MetricsRegistry* registry_;
+  const char* name_;
+  std::chrono::steady_clock::time_point start_{};
+};
 
 // --- Exporters --------------------------------------------------------------
 

@@ -1,13 +1,16 @@
 // PhaseProfiler: real wall-clock cost of simulator phases.
 //
-// Unlike the metrics registry (which records *simulated* quantities), the
-// profiler measures how much host CPU time each simulator phase burns — event
-// loop, link transmission, handshake dispatch, page assembly — so perf
-// regressions introduced by later PRs are visible in one table.
+// Unlike the metrics registry's series (which record *simulated*
+// quantities), the profiler measures how much host CPU time each simulator
+// phase burns — event loop, link transmission, handshake dispatch, page
+// assembly — so perf regressions introduced by later PRs are visible in one
+// table. Each MetricsRegistry owns one profiler and merges it with the rest of
+// the shard.
 //
-// Usage: wrap a phase in an RAII scope timer. ProfileScope reads the global
-// profiler once; when none is installed (the default) the constructor and
-// destructor are a single null-check each — safe to leave in hot paths.
+// Usage: wrap a phase in an obs::ProfileScope (obs/metrics.h). It reads the
+// installed registry once; when none is installed (the default) the
+// constructor and destructor are a single null-check each — safe to leave in
+// hot paths.
 //
 //   void Simulator::run() {
 //     obs::ProfileScope scope("sim.run");
@@ -15,7 +18,6 @@
 //   }
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -50,64 +52,8 @@ class PhaseProfiler {
   /// {"phases": {name: {calls, total_ms, mean_us, max_us}}}.
   [[nodiscard]] std::string to_json() const;
 
-  [[nodiscard]] static PhaseProfiler* global();
-  static PhaseProfiler* set_global(PhaseProfiler* profiler);
-
  private:
   std::map<std::string, Phase> phases_;
-};
-
-namespace detail {
-/// Inline thread-local variable so ProfileScope's constructor inlines to a
-/// single load + branch when no profiler is installed. Per-thread (like the
-/// metrics registry) so parallel shard tasks each time into their own
-/// profiler without locking.
-inline thread_local PhaseProfiler* g_phase_profiler = nullptr;
-}  // namespace detail
-
-inline PhaseProfiler* PhaseProfiler::global() { return detail::g_phase_profiler; }
-
-inline PhaseProfiler* PhaseProfiler::set_global(PhaseProfiler* profiler) {
-  PhaseProfiler* previous = detail::g_phase_profiler;
-  detail::g_phase_profiler = profiler;
-  return previous;
-}
-
-/// RAII install/restore of the current thread's profiler.
-class ScopedProfiler {
- public:
-  explicit ScopedProfiler(PhaseProfiler* profiler)
-      : previous_(PhaseProfiler::set_global(profiler)) {}
-  ~ScopedProfiler() { PhaseProfiler::set_global(previous_); }
-  ScopedProfiler(const ScopedProfiler&) = delete;
-  ScopedProfiler& operator=(const ScopedProfiler&) = delete;
-
- private:
-  PhaseProfiler* previous_;
-};
-
-/// RAII wall-clock scope timer. `name` must outlive the scope (use string
-/// literals). Costs one branch when no profiler is installed.
-class ProfileScope {
- public:
-  explicit ProfileScope(const char* name) : profiler_(PhaseProfiler::global()), name_(name) {
-    if (profiler_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ProfileScope() {
-    if (profiler_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    profiler_->record(
-        name_,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  }
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-
- private:
-  PhaseProfiler* profiler_;
-  const char* name_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace h3cdn::obs

@@ -5,14 +5,16 @@
 // aggregates the MetricsRegistry exports.
 //
 // Design rules (mirroring obs/metrics.h):
-//   * Zero cost when disabled: no recorder is installed by default and every
-//     tl_* hook is one thread_local load + one branch.
-//   * One recorder per shard, installed thread_local for the shard's run;
-//     the study/chaos driver merges shard recorders in canonical shard order
-//     afterwards. Merge is BUCKET-WISE: counter windows add, gauge windows
-//     take the merged-in value (last-writer in merge order), histogram
-//     windows merge exactly like run-level histograms — so timeline.json is
-//     byte-identical at any --jobs value.
+//   * The recorder has no hooks or install of its own: each MetricsRegistry
+//     owns one, and the timed obs::count/observe/observe_ms/sample overloads
+//     in obs/metrics.h write the run total and the window in one call. Zero
+//     cost when disabled, like every hook there.
+//   * One recorder per shard (inside the shard's registry); the study/chaos
+//     driver merges shard registries in canonical shard order afterwards.
+//     Merge is BUCKET-WISE: counter windows add, gauge windows take the
+//     merged-in value (last-writer in merge order), histogram windows merge
+//     exactly like run-level histograms — so timeline.json is byte-identical
+//     at any --jobs value.
 //   * Bucketing is integral: window index = at.count() / bucket.count(), so
 //     a sample lands in the same window on every platform.
 //   * Export convention (PR 4): an empty window exports `count: 0` ONLY —
@@ -23,7 +25,7 @@
 #include <map>
 #include <string>
 
-#include "obs/metrics.h"
+#include "obs/histogram.h"
 #include "util/types.h"
 
 namespace h3cdn::obs {
@@ -33,7 +35,9 @@ class TimelineRecorder {
  public:
   /// Default window: fine enough to localize a 700 ms outage, coarse enough
   /// that a multi-second chaos cell stays a few dozen windows.
-  explicit TimelineRecorder(Duration bucket = msec(250));
+  static constexpr Duration kDefaultBucket = msec(250);
+
+  explicit TimelineRecorder(Duration bucket = kDefaultBucket);
   TimelineRecorder(const TimelineRecorder&) = delete;
   TimelineRecorder& operator=(const TimelineRecorder&) = delete;
 
@@ -89,64 +93,12 @@ class TimelineRecorder {
   /// match (H3CDN_EXPECTS).
   void merge_from(const TimelineRecorder& other);
 
-  /// The recorder installed on the current thread (nullptr = disabled).
-  [[nodiscard]] static TimelineRecorder* global();
-  static TimelineRecorder* set_global(TimelineRecorder* recorder);
-
  private:
   Duration bucket_;
   std::map<std::string, CounterSeries> counters_;
   std::map<std::string, GaugeSeries> gauges_;
   std::map<std::string, HistogramSeries> histograms_;
 };
-
-namespace detail {
-/// Per-thread recorder pointer; see g_metrics_registry for the rationale.
-inline thread_local TimelineRecorder* g_timeline_recorder = nullptr;
-}  // namespace detail
-
-inline TimelineRecorder* TimelineRecorder::global() { return detail::g_timeline_recorder; }
-
-inline TimelineRecorder* TimelineRecorder::set_global(TimelineRecorder* recorder) {
-  TimelineRecorder* previous = detail::g_timeline_recorder;
-  detail::g_timeline_recorder = recorder;
-  return previous;
-}
-
-/// RAII install/restore of the current thread's timeline recorder.
-class ScopedTimeline {
- public:
-  explicit ScopedTimeline(TimelineRecorder* recorder)
-      : previous_(TimelineRecorder::set_global(recorder)) {}
-  ~ScopedTimeline() { TimelineRecorder::set_global(previous_); }
-  ScopedTimeline(const ScopedTimeline&) = delete;
-  ScopedTimeline& operator=(const ScopedTimeline&) = delete;
-
- private:
-  TimelineRecorder* previous_;
-};
-
-// --- Instrumentation hooks: one null-check when the timeline is off. --------
-// Unlike the aggregate obs::count/observe hooks these carry the simulated
-// instant explicitly: every call site already holds its Simulator clock, and
-// passing it keeps the recorder free of any simulator dependency.
-
-inline void tl_count(const char* name, TimePoint at, std::uint64_t n = 1) {
-  if (TimelineRecorder* r = TimelineRecorder::global()) r->count(name, at, n);
-}
-
-inline void tl_gauge_set(const char* name, TimePoint at, double v) {
-  if (TimelineRecorder* r = TimelineRecorder::global()) r->gauge_set(name, at, v);
-}
-
-inline void tl_observe(const char* name, TimePoint at, double v) {
-  if (TimelineRecorder* r = TimelineRecorder::global()) r->observe(name, at, v);
-}
-
-/// Records a simulated duration in fractional milliseconds at instant `at`.
-inline void tl_observe_ms(const char* name, TimePoint at, Duration d) {
-  if (TimelineRecorder* r = TimelineRecorder::global()) r->observe(name, at, to_ms(d));
-}
 
 // --- Exporters --------------------------------------------------------------
 

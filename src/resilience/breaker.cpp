@@ -1,7 +1,6 @@
 #include "resilience/breaker.h"
 
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 #include "util/check.h"
 
 namespace h3cdn::resilience {
@@ -25,8 +24,7 @@ bool CircuitBreaker::allow(TimePoint now) {
       state_ = BreakerState::HalfOpen;
       probes_in_flight_ = 0;
       ++transitions_.half_opened;
-      obs::count("resilience.breaker.half_opened");
-      obs::tl_count("resilience.breaker.half_opened", now);
+      obs::count("resilience.breaker.half_opened", now);
       [[fallthrough]];
     case BreakerState::HalfOpen:
       if (probes_in_flight_ >= config_.half_open_probes) return false;
@@ -47,8 +45,7 @@ void CircuitBreaker::record(TimePoint now, bool success) {
       samples_.clear();
       failures_in_window_ = 0;
       ++transitions_.closed;
-      obs::count("resilience.breaker.closed");
-      obs::tl_count("resilience.breaker.closed", now);
+      obs::count("resilience.breaker.closed", now);
     } else {
       open(now);
     }
@@ -79,8 +76,7 @@ void CircuitBreaker::open(TimePoint now) {
   opened_at_ = now;
   probes_in_flight_ = 0;
   ++transitions_.opened;
-  obs::count("resilience.breaker.opened");
-  obs::tl_count("resilience.breaker.opened", now);
+  obs::count("resilience.breaker.opened", now);
 }
 
 CircuitBreaker& BreakerRegistry::get(const std::string& domain, const char* proto) {

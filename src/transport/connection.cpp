@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "util/check.h"
 
 namespace h3cdn::transport {

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "obs/profiler.h"
 #include "util/json_parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -90,32 +89,66 @@ TEST(Metrics, HooksAreNoOpsWhenDisabled) {
   ASSERT_EQ(MetricsRegistry::global(), nullptr);
   EXPECT_FALSE(enabled());
   // Must not crash or allocate a registry.
+  const TimePoint at{msec(10)};
   count("nope");
-  gauge_set("nope", 1.0);
+  count("nope", at, 2);
   observe("nope", 1.0);
+  observe("nope", at, 1.0);
   observe_ms("nope", msec(5));
+  observe_ms("nope", at, msec(5));
+  sample("nope", at, 3.0);
+  { ProfileScope idle("ignored"); }
   EXPECT_EQ(MetricsRegistry::global(), nullptr);
 }
 
 TEST(Metrics, ScopedInstallRoutesHooksAndRestores) {
+  const TimePoint w0{msec(10)};
+  const TimePoint w2{msec(600)};  // window 2 at the default 250 ms bucket
   MetricsRegistry outer;
   {
     ScopedMetrics outer_scope(&outer);
     EXPECT_TRUE(enabled());
     count("hits", 2);
+    observe("plain", 1.0);
+    EXPECT_EQ(outer.timeline().series_count(), 0u);  // untimed hooks: run totals only
     {
       MetricsRegistry inner;
       ScopedMetrics inner_scope(&inner);
-      count("hits", 1);  // goes to inner, not outer
-      EXPECT_EQ(inner.counter("hits").value(), 1u);
+      count("hits", w2);  // goes to inner, not outer
+      { ProfileScope a("phase_a"); }
+      { ProfileScope a("phase_a"); }
+      EXPECT_EQ(inner.counters().at("hits")->value(), 1u);
+      EXPECT_EQ(inner.timeline().counter_in_range("hits", 2, 2), 1u);
+      EXPECT_EQ(inner.profiler().phases().at("phase_a").calls, 2u);
     }
-    count("hits");  // outer again
+    EXPECT_EQ(MetricsRegistry::global(), &outer);
+    count("hits", w0, 3);  // outer again: run total and window 0
     observe_ms("latency_ms", msec(250));
+    observe_ms("latency_ms", w2, msec(50));
+    sample("depth", w0, 4.0);
+    sample("depth", w0, 9.0);
+    { ProfileScope b("phase_b"); }
   }
   EXPECT_FALSE(enabled());
-  EXPECT_EQ(outer.counter("hits").value(), 3u);
-  EXPECT_EQ(outer.histogram("latency_ms").count(), 1u);
-  EXPECT_DOUBLE_EQ(outer.histogram("latency_ms").sum(), 250.0);
+  EXPECT_EQ(outer.counters().at("hits")->value(), 5u);
+  EXPECT_EQ(outer.timeline().counters().at("hits").size(), 1u);
+  EXPECT_EQ(outer.timeline().counter_in_range("hits", 0, 0), 3u);
+  EXPECT_EQ(outer.histograms().at("latency_ms")->count(), 2u);
+  EXPECT_DOUBLE_EQ(outer.histograms().at("latency_ms")->sum(), 300.0);
+  ASSERT_EQ(outer.timeline().histograms().at("latency_ms").size(), 1u);
+  EXPECT_DOUBLE_EQ(outer.timeline().histograms().at("latency_ms").at(2).sum(), 50.0);
+  // sample: every value in the run histogram, the window's last as a gauge.
+  EXPECT_EQ(outer.histograms().at("depth")->count(), 2u);
+  EXPECT_DOUBLE_EQ(outer.histograms().at("depth")->max(), 9.0);
+  EXPECT_EQ(outer.timeline().gauges().at("depth").at(0).sets, 2u);
+  EXPECT_DOUBLE_EQ(outer.timeline().gauges().at("depth").at(0).last, 9.0);
+  EXPECT_TRUE(outer.gauges().empty());
+  EXPECT_EQ(outer.timeline().histograms().count("depth"), 0u);
+  // The inner scope's phases stayed in the inner registry's profiler.
+  EXPECT_EQ(outer.profiler().phases().count("phase_a"), 0u);
+  const auto doc = util::parse_json(outer.profiler().to_json());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->find("phases")->find("phase_b")->number_or("calls", -1), 1.0);
 }
 
 TEST(Metrics, JsonExportParsesAndRoundTrips) {
@@ -224,27 +257,6 @@ TEST(Metrics, PrometheusHelpEscapesBackslashAndNewline) {
   EXPECT_NE(prom.find("weird\\\\name\\nwith.breaks"), std::string::npos) << prom;
   EXPECT_EQ(prom.find("# HELP weird_name_with_breaks Simulated-run counter weird\\name"),
             std::string::npos);
-}
-
-TEST(Profiler, ScopeRecordsOnlyWhenInstalled) {
-  ASSERT_EQ(PhaseProfiler::global(), nullptr);
-  { ProfileScope idle("ignored"); }  // disabled: must be a no-op
-
-  PhaseProfiler profiler;
-  {
-    ScopedProfiler scope(&profiler);
-    { ProfileScope a("phase_a"); }
-    { ProfileScope a("phase_a"); }
-    { ProfileScope b("phase_b"); }
-  }
-  EXPECT_EQ(PhaseProfiler::global(), nullptr);
-  ASSERT_EQ(profiler.phases().size(), 2u);
-  EXPECT_EQ(profiler.phases().at("phase_a").calls, 2u);
-  EXPECT_EQ(profiler.phases().at("phase_b").calls, 1u);
-
-  const auto doc = util::parse_json(profiler.to_json());
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->find("phases")->find("phase_a")->number_or("calls", -1), 2.0);
 }
 
 }  // namespace

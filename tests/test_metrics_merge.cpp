@@ -196,5 +196,43 @@ TEST(MetricsMerge, ProfilerPhasesCombine) {
   EXPECT_EQ(a.phases().at("study.warm").calls, 1u);
 }
 
+TEST(MetricsMerge, OwnedTimelineAndProfilerFoldWithTheRegistry) {
+  // Shards record through the hooks like sweep cells. Merging the shard
+  // registries in canonical order folds their timelines bucket-wise into
+  // exactly what one sequential registry recorded, and profiler calls add.
+  const auto record = [](std::int64_t i) {
+    ProfileScope scope("cell");
+    const TimePoint at{msec(70 * i)};
+    count("deaths", at);
+    observe("plt_ms", at, 10.0 * static_cast<double>(i));
+    sample("depth", at, static_cast<double>(i % 5));
+  };
+  constexpr std::int64_t kEvents = 20;
+  MetricsRegistry sequential;
+  {
+    ScopedMetrics scope(&sequential);
+    for (std::int64_t i = 0; i < kEvents; ++i) record(i);
+  }
+  MetricsRegistry shard[2];
+  for (std::int64_t i = 0; i < kEvents; ++i) {
+    ScopedMetrics scope(&shard[i < 12 ? 0 : 1]);  // window 3 spans both shards
+    record(i);
+  }
+  MetricsRegistry merged;
+  merged.merge_from(shard[0]);
+  merged.merge_from(shard[1]);
+
+  EXPECT_EQ(merged.timeline().span_buckets(), 6);
+  EXPECT_EQ(timeline_to_json(merged.timeline()), timeline_to_json(sequential.timeline()));
+  EXPECT_EQ(metrics_to_json(merged), metrics_to_json(sequential));
+  EXPECT_EQ(merged.profiler().phases().at("cell").calls, 20u);
+  EXPECT_EQ(sequential.profiler().phases().at("cell").calls, 20u);
+
+  merged.clear();
+  EXPECT_EQ(merged.series_count(), 0u);
+  EXPECT_EQ(merged.timeline().series_count(), 0u);
+  EXPECT_TRUE(merged.profiler().phases().empty());
+}
+
 }  // namespace
 }  // namespace h3cdn::obs

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/timeline.h"
 #include "util/thread_pool.h"
 
 namespace h3cdn::core {
@@ -29,8 +27,7 @@ struct SweepOutput {
 };
 
 // Every cell records through the thread-local hooks, like a real driver:
-// counters, histogram samples and timeline points that depend only on the
-// cell index.
+// timed counters and histogram samples that depend only on the cell index.
 SweepOutput run_synthetic_sweep(std::size_t cells, int jobs) {
   RunObservability sink;
   SweepOutput out;
@@ -38,11 +35,9 @@ SweepOutput run_synthetic_sweep(std::size_t cells, int jobs) {
   run_sweep(cells, jobs, &sink, [&](std::size_t cell, RunObservability* shard) {
     EXPECT_EQ(obs::MetricsRegistry::global(), &shard->metrics());
     for (std::size_t i = 0; i <= cell % 4; ++i) {
-      obs::count("sweep.cell_events");
-      obs::observe("sweep.cell_ms", static_cast<double>(cell * 10 + i));
-      obs::tl_count("sweep.cell_events", TimePoint{msec(100 * static_cast<std::int64_t>(cell))});
-      obs::tl_observe("sweep.cell_ms", TimePoint{msec(50 * static_cast<std::int64_t>(i))},
-                      static_cast<double>(cell));
+      obs::count("sweep.cell_events", TimePoint{msec(100 * static_cast<std::int64_t>(cell))});
+      obs::observe("sweep.cell_ms", TimePoint{msec(50 * static_cast<std::int64_t>(i))},
+                   static_cast<double>(cell * 10 + i));
     }
     out.rows[cell] = "cell" + std::to_string(cell);
   });
@@ -107,8 +102,6 @@ TEST(Sweep, NullSinkGivesNullShardsAndInstallsNothing) {
   run_sweep(5, 2, nullptr, [&](std::size_t, RunObservability* shard) {
     EXPECT_EQ(shard, nullptr);
     EXPECT_EQ(obs::MetricsRegistry::global(), nullptr);
-    EXPECT_EQ(obs::TimelineRecorder::global(), nullptr);
-    EXPECT_EQ(obs::PhaseProfiler::global(), nullptr);
     cells_run.fetch_add(1);
   });
   EXPECT_EQ(cells_run.load(), 5);

@@ -51,31 +51,6 @@ TEST(Timeline, SeriesAccumulatePerWindow) {
   EXPECT_EQ(r.counter_in_range("absent", 0, 5), 0u);
 }
 
-TEST(Timeline, HooksAreNoOpsWhenDisabledAndScopedInstallRestores) {
-  ASSERT_EQ(TimelineRecorder::global(), nullptr);
-  tl_count("nope", at_ms(0));
-  tl_gauge_set("nope", at_ms(0), 1.0);
-  tl_observe("nope", at_ms(0), 1.0);
-  tl_observe_ms("nope", at_ms(0), msec(5));
-  EXPECT_EQ(TimelineRecorder::global(), nullptr);
-
-  TimelineRecorder outer;
-  {
-    ScopedTimeline outer_scope(&outer);
-    tl_count("hits", at_ms(10), 2);
-    {
-      TimelineRecorder inner;
-      ScopedTimeline inner_scope(&inner);
-      tl_count("hits", at_ms(10));  // goes to inner, not outer
-      EXPECT_EQ(inner.counter_in_range("hits", 0, 0), 1u);
-    }
-    tl_observe_ms("lat_ms", at_ms(10), msec(30));
-  }
-  EXPECT_EQ(TimelineRecorder::global(), nullptr);
-  EXPECT_EQ(outer.counter_in_range("hits", 0, 0), 2u);
-  EXPECT_DOUBLE_EQ(outer.histograms().at("lat_ms").at(0).sum(), 30.0);
-}
-
 // Splitting one sample stream across shards and folding them in canonical
 // order must reproduce the sequential recorder byte for byte — the property
 // that makes timeline.json/csv independent of --jobs.

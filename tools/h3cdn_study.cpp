@@ -38,15 +38,26 @@
 //     --format FMT       text|csv (default text; summary is always JSON)
 //     --out PATH         write to a file instead of stdout
 //     --obs DIR          record run-wide observability artifacts into DIR
-//                        (metrics.{json,csv,prom}, qlog.json, waterfalls.json,
-//                        profile.json — inspect with h3cdn_obs_report)
+//                        (metrics.{json,csv,prom}, timeline.{json,csv},
+//                        slo.json, qlog.json, waterfalls.json,
+//                        attribution.json, trace.perfetto.json,
+//                        profile.json, fault_recovery.json for chaos, and
+//                        clusters.json for clusters — inspect with
+//                        h3cdn_obs_report)
+//
+// A numeric flag outside its range (or not a number) exits 2 with a message
+// naming the flag.
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/clusters.h"
@@ -108,6 +119,39 @@ struct Options {
   std::exit(2);
 }
 
+// The accepted values of a numeric flag: lo..hi, each end open or closed.
+struct Range {
+  double lo;
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+};
+constexpr Range kAtLeastOne{1};
+constexpr Range kNonNegative{0};
+constexpr Range kPositive{0, std::numeric_limits<double>::infinity(), true};
+constexpr Range kLossRate{0, 1, false, true};
+
+// Every numeric flag is read here: the whole text must parse as a T inside
+// `range`, else usage() follows a message naming the flag.
+template <typename T>
+T parse_number(const char* argv0, const std::string& flag, const std::string& text, Range range) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  const auto v = static_cast<double>(value);
+  const bool parsed = !text.empty() && ec == std::errc() && stop == end && std::isfinite(v);
+  if (parsed && (range.lo_open ? v > range.lo : v >= range.lo) &&
+      (range.hi_open ? v < range.hi : v <= range.hi)) {
+    return value;
+  }
+  std::cerr << argv0 << ": " << flag << " takes "
+            << (std::is_integral_v<T> ? "an integer" : "a number")
+            << (range.lo_open ? " > " : " >= ") << range.lo;
+  if (std::isfinite(range.hi)) std::cerr << (range.hi_open ? " and < " : " and <= ") << range.hi;
+  std::cerr << ", got '" << text << "'\n";
+  usage(argv0);
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   o.study.workload.site_count = 325;
@@ -117,33 +161,38 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (arg == "--sites") {
-      o.study.max_sites = static_cast<std::size_t>(std::stoul(next()));
-      o.sites_set = true;
-    } else if (arg == "--probes") {
-      o.study.probes_per_vantage = std::stoi(next());
-    } else if (arg == "--loss") {
-      o.study.loss_rate = std::stod(next());
-    } else if (arg == "--consecutive") {
-      o.study.consecutive = true;
-    } else if (arg == "--seed") {
-      o.study.seed = std::stoull(next());
-    } else if (arg == "--jobs") {
-      o.study.jobs = std::stoi(next());
-      if (o.study.jobs < 0) usage(argv[0]);
-    } else if (arg == "--experiment") {
-      o.experiment = next();
-    } else if (arg == "--load-rates") {
-      o.load_rates.clear();
+    auto number = [&]<typename T>(T& out, Range range) {
+      out = parse_number<T>(argv[0], arg, next(), range);
+    };
+    // Comma-separated list of numbers, each in `range`; at least one.
+    auto numbers = [&](std::vector<double>& out, Range range) {
+      out.clear();
       std::stringstream list(next());
       std::string item;
       while (std::getline(list, item, ',')) {
-        if (!item.empty()) o.load_rates.push_back(std::stod(item));
+        if (!item.empty()) out.push_back(parse_number<double>(argv[0], arg, item, range));
       }
-      if (o.load_rates.empty()) usage(argv[0]);
+      if (out.empty()) usage(argv[0]);
+    };
+    if (arg == "--sites") {
+      number(o.study.max_sites, kAtLeastOne);
+      o.sites_set = true;
+    } else if (arg == "--probes") {
+      number(o.study.probes_per_vantage, kAtLeastOne);
+    } else if (arg == "--loss") {
+      number(o.study.loss_rate, kLossRate);
+    } else if (arg == "--consecutive") {
+      o.study.consecutive = true;
+    } else if (arg == "--seed") {
+      number(o.study.seed, kNonNegative);
+    } else if (arg == "--jobs") {
+      number(o.study.jobs, kNonNegative);
+    } else if (arg == "--experiment") {
+      o.experiment = next();
+    } else if (arg == "--load-rates") {
+      numbers(o.load_rates, kPositive);
     } else if (arg == "--load-window") {
-      o.load_window_s = std::stod(next());
-      if (o.load_window_s <= 0) usage(argv[0]);
+      number(o.load_window_s, kPositive);
     } else if (arg == "--load-arrival") {
       bool ok = true;
       o.load_arrival = load::arrival_kind_from_string(next(), &ok);
@@ -159,18 +208,11 @@ Options parse(int argc, char** argv) {
       }
       if (o.topo_plans.empty()) usage(argv[0]);
     } else if (arg == "--topo-loss") {
-      o.topo_loss.clear();
-      std::stringstream list(next());
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        if (!item.empty()) o.topo_loss.push_back(std::stod(item));
-      }
-      if (o.topo_loss.empty()) usage(argv[0]);
+      numbers(o.topo_loss, kLossRate);
     } else if (arg == "--shards") {
-      o.study.workload.domain_shards = static_cast<std::size_t>(std::stoul(next()));
-      if (o.study.workload.domain_shards < 1) usage(argv[0]);
+      number(o.study.workload.domain_shards, kAtLeastOne);
     } else if (arg == "--fleet-sample") {
-      o.fleet_sample = static_cast<std::size_t>(std::stoul(next()));
+      number(o.fleet_sample, kNonNegative);
     } else if (arg == "--fleet-sample-verify") {
       o.fleet_sample_verify = true;
     } else if (arg == "--link-mix") {
@@ -182,10 +224,10 @@ Options parse(int argc, char** argv) {
         const std::size_t colon = item.find(':');
         load::LinkMixEntry entry;
         entry.profile = item.substr(0, colon);
-        if (colon != std::string::npos) entry.weight = std::stod(item.substr(colon + 1));
-        if (!net::LinkProfile::from_name(entry.profile) || entry.weight <= 0) {
-          usage(argv[0]);
+        if (colon != std::string::npos) {
+          entry.weight = parse_number<double>(argv[0], arg, item.substr(colon + 1), kPositive);
         }
+        if (!net::LinkProfile::from_name(entry.profile)) usage(argv[0]);
         o.link_mix.push_back(entry);
       }
       if (o.link_mix.empty()) usage(argv[0]);
@@ -198,15 +240,13 @@ Options parse(int argc, char** argv) {
       o.cluster_algo = next();
       if (o.cluster_algo != "dbscan" && o.cluster_algo != "kmeans") usage(argv[0]);
     } else if (arg == "--cluster-eps") {
-      o.cluster_eps = std::stod(next());
-      if (o.cluster_eps < 0) usage(argv[0]);
+      number(o.cluster_eps, kNonNegative);
     } else if (arg == "--cluster-min-pts") {
-      o.cluster_min_pts = static_cast<std::size_t>(std::stoul(next()));
-      if (o.cluster_min_pts < 1) usage(argv[0]);
+      number(o.cluster_min_pts, kAtLeastOne);
     } else if (arg == "--cluster-k-min") {
-      o.cluster_k_min = static_cast<std::size_t>(std::stoul(next()));
+      number(o.cluster_k_min, kAtLeastOne);
     } else if (arg == "--cluster-k-max") {
-      o.cluster_k_max = static_cast<std::size_t>(std::stoul(next()));
+      number(o.cluster_k_max, kAtLeastOne);
     } else if (arg == "--cluster-qoe") {
       o.cluster_qoe = true;
     } else if (arg == "--cluster-no-ab") {
@@ -224,6 +264,11 @@ Options parse(int argc, char** argv) {
     } else {
       usage(argv[0]);
     }
+  }
+  if (o.cluster_k_min > o.cluster_k_max) {
+    std::cerr << argv[0] << ": --cluster-k-min " << o.cluster_k_min
+              << " exceeds --cluster-k-max " << o.cluster_k_max << "\n";
+    usage(argv[0]);
   }
   return o;
 }
