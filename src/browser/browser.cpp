@@ -7,6 +7,18 @@
 
 namespace h3cdn::browser {
 
+namespace {
+
+const obs::MetricId kVisitSetup{"browser.visit_setup"};
+const obs::MetricId kResourcesFetched{"browser.resources_fetched"};
+const obs::MetricId kCacheHits{"browser.cache_hits"};
+const obs::MetricId kResourcesFailed{"browser.resources_failed"};
+const obs::MetricId kPageAssembly{"browser.page_assembly"};
+const obs::MetricId kPagesLoaded{"browser.pages_loaded"};
+const obs::MetricId kPageLoadMs{"browser.page_load_ms"};
+
+}  // namespace
+
 // Chrome-style fetch priorities by resource type (0 = most urgent).
 int resource_priority(web::ResourceType type) {
   switch (type) {
@@ -42,7 +54,7 @@ Browser::Browser(sim::Simulator& sim, Environment& env, tls::SessionTicketStore*
 
 void Browser::visit(const web::WebPage& page, std::function<void(PageLoadResult)> on_load) {
   H3CDN_EXPECTS(on_load != nullptr);
-  obs::ProfileScope profile("browser.visit_setup");
+  obs::ProfileScope profile(kVisitSetup);
   auto visit = std::make_shared<VisitState>();
   visit->page = &page;
   visit->on_load = std::move(on_load);
@@ -159,9 +171,9 @@ void Browser::on_entry_done(const std::shared_ptr<VisitState>& visit,
   entry.response_headers = resource.response_headers;
   visit->har.entries.push_back(std::move(entry));
   ++visit->completed;
-  obs::count("browser.resources_fetched");
-  if (from_cache) obs::count("browser.cache_hits");
-  if (timings.failed) obs::count("browser.resources_failed");
+  obs::count(kResourcesFetched);
+  if (from_cache) obs::count(kCacheHits);
+  if (timings.failed) obs::count(kResourcesFailed);
   if (config_.http_cache_enabled && !from_cache && is_cacheable(resource)) {
     http_cache_.insert(resource.url());
   }
@@ -197,11 +209,11 @@ void Browser::on_entry_done(const std::shared_ptr<VisitState>& visit,
 
 void Browser::maybe_finish(const std::shared_ptr<VisitState>& visit) {
   if (visit->finished || visit->completed < visit->expected) return;
-  obs::ProfileScope profile("browser.page_assembly");
+  obs::ProfileScope profile(kPageAssembly);
   visit->finished = true;
   visit->har.page_load_time = sim_.now() - visit->har.started;
-  obs::count("browser.pages_loaded");
-  obs::observe_ms("browser.page_load_ms", visit->har.page_load_time);
+  obs::count(kPagesLoaded);
+  obs::observe_ms(kPageLoadMs, visit->har.page_load_time);
   const auto& ps = visit->pool->stats();
   visit->har.connections_created = ps.connections_created;
   visit->har.resumed_connections = ps.resumed_connections;

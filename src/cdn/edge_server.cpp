@@ -6,6 +6,21 @@
 
 namespace h3cdn::cdn {
 
+namespace {
+
+const obs::MetricId kEdgeRequests{"cdn.edge.requests"};
+const obs::MetricId kEdgeCacheHits{"cdn.edge.cache_hits"};
+const obs::MetricId kEdgeCacheMisses{"cdn.edge.cache_misses"};
+const obs::MetricId kEdgeQueueMs{"cdn.edge.queue_ms"};
+const obs::MetricId kEdgeThinkMs{"cdn.edge.think_ms"};
+const obs::MetricId kEdgeRefused{"cdn.edge.refused"};
+const obs::MetricId kEdgeRefusedConnLimit{"cdn.edge.refused.conn_limit"};
+const obs::MetricId kEdgeRefusedQueueFull{"cdn.edge.refused.queue_full"};
+const obs::MetricId kEdgeHsAdmitted{"cdn.edge.hs_admitted"};
+const obs::MetricId kEdgeHsQueueMs{"cdn.edge.hs_queue_ms"};
+
+}  // namespace
+
 EdgeServer::EdgeServer(const ProviderTraits& traits, util::Rng rng, std::size_t cache_capacity,
                        EdgeCapacityConfig capacity)
     : traits_(traits), rng_(rng), cache_(cache_capacity), capacity_(capacity) {
@@ -20,7 +35,7 @@ void EdgeServer::warm(const std::string& key) {
 
 Duration EdgeServer::think_time(const std::string& key, http::HttpVersion version,
                                 TimePoint now) {
-  obs::count("cdn.edge.requests");
+  obs::count(kEdgeRequests);
   // Draw order must not depend on the capacity model: legacy (idle-server)
   // call sites stay byte-identical.
   double service_ms = rng_.lognormal_median(to_ms(traits_.service_time_median),
@@ -31,11 +46,11 @@ Duration EdgeServer::think_time(const std::string& key, http::HttpVersion versio
   }
   double penalty_ms = 0.0;
   if (cache_.touch(key)) {
-    obs::count("cdn.edge.cache_hits");
+    obs::count(kEdgeCacheHits);
   } else {
     // Cache miss: fetch from the customer's origin before responding. The
     // wait is network time, so it does not occupy a worker core.
-    obs::count("cdn.edge.cache_misses");
+    obs::count(kEdgeCacheMisses);
     penalty_ms = to_ms(traits_.origin_fetch_penalty) * rng_.uniform(0.8, 1.5);
     cache_.insert(key);
   }
@@ -46,11 +61,11 @@ Duration EdgeServer::think_time(const std::string& key, http::HttpVersion versio
     queue_wait = start - now;
     *core = start + from_ms(service_ms);
     if (queue_wait > Duration::zero()) {
-      obs::observe_ms("cdn.edge.queue_ms", queue_wait);
+      obs::observe_ms(kEdgeQueueMs, queue_wait);
     }
   }
   const double total_ms = to_ms(queue_wait) + service_ms + penalty_ms;
-  obs::observe("cdn.edge.think_ms", total_ms);
+  obs::observe(kEdgeThinkMs, total_ms);
   return from_ms(total_ms);
 }
 
@@ -61,14 +76,14 @@ std::optional<Duration> EdgeServer::try_admit(TimePoint now, tls::TransportKind 
   if (capacity_.max_concurrent_connections > 0 &&
       concurrent_ >= capacity_.max_concurrent_connections) {
     ++refused_conn_limit_;
-    obs::count("cdn.edge.refused");
-    obs::count("cdn.edge.refused.conn_limit");
+    obs::count(kEdgeRefused);
+    obs::count(kEdgeRefusedConnLimit);
     return std::nullopt;
   }
   if (capacity_.accept_queue_depth > 0 && hs_queue_.size() >= capacity_.accept_queue_depth) {
     ++refused_queue_full_;
-    obs::count("cdn.edge.refused");
-    obs::count("cdn.edge.refused.queue_full");
+    obs::count(kEdgeRefused);
+    obs::count(kEdgeRefusedQueueFull);
     return std::nullopt;
   }
   Duration cpu = kind == tls::TransportKind::Quic ? capacity_.handshake_cpu_quic
@@ -82,8 +97,8 @@ std::optional<Duration> EdgeServer::try_admit(TimePoint now, tls::TransportKind 
   hs_queue_.push_back(finish);
   ++concurrent_;
   ++admitted_;
-  obs::count("cdn.edge.hs_admitted");
-  if (start > now) obs::observe_ms("cdn.edge.hs_queue_ms", start - now);
+  obs::count(kEdgeHsAdmitted);
+  if (start > now) obs::observe_ms(kEdgeHsQueueMs, start - now);
   return finish - now;
 }
 

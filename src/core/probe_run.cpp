@@ -13,6 +13,12 @@
 
 namespace h3cdn::core {
 
+namespace {
+
+const obs::MetricId kWarmCaches{"study.warm_caches"};
+
+}  // namespace
+
 std::vector<PageVisitRecord> ProbeRunTask::run(RunObservability* sink) const {
   H3CDN_EXPECTS(config != nullptr);
   H3CDN_EXPECTS(workload != nullptr);
@@ -72,7 +78,7 @@ std::vector<PageVisitRecord> ProbeRunTask::run(RunObservability* sink) const {
   for (std::size_t si = 0; si < site_count; ++si) {
     const web::WebPage& page = workload->sites[si].page;
     if (config->warm_caches) {
-      obs::ProfileScope warm_scope("study.warm_caches");
+      obs::ProfileScope warm_scope(kWarmCaches);
       env.warm_page(page);
     }
 

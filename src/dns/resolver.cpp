@@ -7,6 +7,20 @@
 
 namespace h3cdn::dns {
 
+namespace {
+
+const obs::MetricId kChannelsEstablished{"dns.channels_established"};
+const obs::MetricId kRecursiveCacheHits{"dns.recursive_cache_hits"};
+const obs::MetricId kRetries{"dns.retries"};
+const obs::MetricId kFailoverReports{"dns.failover.reports"};
+const obs::MetricId kFailoverSwitches{"dns.failover.switches"};
+const obs::MetricId kQueries{"dns.queries"};
+const obs::MetricId kStubCacheHits{"dns.stub_cache_hits"};
+const obs::MetricId kNegativeExpiries{"dns.negative_expiries"};
+const obs::MetricId kResolveMs{"dns.resolve_ms"};
+
+}  // namespace
+
 const char* to_string(DnsTransport t) {
   switch (t) {
     case DnsTransport::Do53: return "Do53";
@@ -28,7 +42,7 @@ int Resolver::channel_setup_rtts() {
   if (channel_open_) return 0;
   channel_open_ = true;
   ++stats_.channels_established;
-  obs::count("dns.channels_established");
+  obs::count(kChannelsEstablished);
   switch (config_.transport) {
     case DnsTransport::DoT:
     case DnsTransport::DoH:
@@ -50,7 +64,7 @@ int Resolver::channel_setup_rtts() {
 Duration Resolver::recursive_work() {
   if (rng_.bernoulli(config_.recursive_cache_hit)) {
     ++stats_.recursive_cache_hits;
-    obs::count("dns.recursive_cache_hits");
+    obs::count(kRecursiveCacheHits);
     return usec(200);  // cached at the recursive: lookup only
   }
   return from_ms(rng_.lognormal_median(to_ms(config_.auth_lookup_median),
@@ -63,7 +77,7 @@ void Resolver::issue_query(const std::string& name, std::function<void(TimePoint
   // channel (~1 extra RTT); plain UDP waits for the stub's retry timer.
   if (rng_.bernoulli(config_.query_loss_rate)) {
     ++stats_.retries;
-    obs::count("dns.retries");
+    obs::count(kRetries);
     const Duration penalty = config_.transport == DnsTransport::Do53
                                  ? config_.udp_timeout
                                  : config_.resolver_rtt;
@@ -123,7 +137,7 @@ void Resolver::report_failure(const std::string& name, TimePoint now) {
   DnsRecord* record = cache_.find(name);
   if (record == nullptr || record->address_count <= 1) return;
   ++stats_.failover_reports;
-  obs::count("dns.failover.reports", now);
+  obs::count(kFailoverReports, now);
   if (record->unhealthy_until.size() < record->address_count) {
     record->unhealthy_until.resize(record->address_count, TimePoint{0});
   }
@@ -133,7 +147,7 @@ void Resolver::report_failure(const std::string& name, TimePoint now) {
     if (record->address_healthy(candidate, now)) {
       record->preferred = candidate;
       ++stats_.failover_switches;
-      obs::count("dns.failover.switches", now);
+      obs::count(kFailoverSwitches, now);
       return;
     }
   }
@@ -146,32 +160,32 @@ void Resolver::report_failure(const std::string& name, TimePoint now) {
   if (best != record->preferred) {
     record->preferred = best;
     ++stats_.failover_switches;
-    obs::count("dns.failover.switches", now);
+    obs::count(kFailoverSwitches, now);
   }
 }
 
 void Resolver::resolve(const std::string& name, std::function<void(TimePoint)> done) {
   H3CDN_EXPECTS(done != nullptr);
   ++stats_.queries;
-  obs::count("dns.queries", sim_.now());
+  obs::count(kQueries, sim_.now());
   if (const auto record = cache_.lookup(name, sim_.now())) {
     if (record->negative_valid_at(sim_.now())) {
       ++stats_.stub_cache_hits;
-      obs::count("dns.stub_cache_hits");
+      obs::count(kStubCacheHits);
       sim_.schedule_in(Duration::zero(), [this, done = std::move(done)] { done(sim_.now()); });
       return;
     }
     // The positive record is valid but the negative (no-AAAA) answer has
     // expired: the dual-stack query pair must go out again (RFC 2308).
     ++stats_.negative_expiries;
-    obs::count("dns.negative_expiries", sim_.now());
+    obs::count(kNegativeExpiries, sim_.now());
   }
   if (obs::enabled()) {
     // Wrap the callback to record end-to-end resolve latency (cold path only;
     // the stub-cache hit above is instantaneous).
     const TimePoint started = sim_.now();
     done = [started, done = std::move(done)](TimePoint at) {
-      obs::observe_ms("dns.resolve_ms", started, at - started);
+      obs::observe_ms(kResolveMs, started, at - started);
       done(at);
     };
   }

@@ -8,6 +8,33 @@
 
 namespace h3cdn::http {
 
+namespace {
+
+const obs::MetricId kPoolH3Reprobes{"http.pool.h3_reprobes"};
+const obs::MetricId kPoolConnectionsH1{"http.pool.connections.h1"};
+const obs::MetricId kPoolConnectionsH2{"http.pool.connections.h2"};
+const obs::MetricId kPoolConnectionsH3{"http.pool.connections.h3"};
+const obs::MetricId kPoolResumedConnections{"http.pool.resumed_connections"};
+const obs::MetricId kEntriesSubmitted{"http.entries_submitted"};
+const obs::MetricId kHintOverrides{"http.hint_overrides"};
+const obs::MetricId kBreakerDemotions{"resilience.breaker.demotions"};
+const obs::MetricId kHedgesCancelled{"resilience.hedges_cancelled"};
+const obs::MetricId kHedgesWon{"resilience.hedges_won"};
+const obs::MetricId kHedgesLost{"resilience.hedges_lost"};
+const obs::MetricId kHedgesLaunched{"resilience.hedges_launched"};
+const obs::MetricId kPoolConnectionDeaths{"http.pool.connection_deaths"};
+const obs::MetricId kResumedRequests{"resilience.resumed_requests"};
+const obs::MetricId kResumedBytes{"resilience.resumed_bytes"};
+const obs::MetricId kPoolConnectionsRefused{"http.pool.connections_refused"};
+const obs::MetricId kPoolRequestsRescued{"http.pool.requests_rescued"};
+const obs::MetricId kPoolRefusalRetries{"http.pool.refusal_retries"};
+const obs::MetricId kRetries{"resilience.retries"};
+const obs::MetricId kPoolH3Fallbacks{"http.pool.h3_fallbacks"};
+const obs::MetricId kEntriesFailed{"http.entries_failed"};
+const obs::MetricId kDeadlineFailures{"resilience.deadline_failures"};
+
+}  // namespace
+
 ConnectionPool::ConnectionPool(sim::Simulator& sim, PoolConfig config, Resolver resolver,
                                tls::SessionTicketStore* tickets, util::Rng rng)
     : sim_(sim),
@@ -38,7 +65,7 @@ bool ConnectionPool::h3_broken(const std::string& domain) {
     // TTL expired: clear the mark; the caller's next H3 dial is the re-probe.
     h3_broken_until_.erase(it);
     ++stats_.h3_reprobes;
-    obs::count("http.pool.h3_reprobes", sim_.now());
+    obs::count(kPoolH3Reprobes, sim_.now());
     record_fault(trace::EventType::H3ReProbe, trace::FaultKind::None);
     return false;
   }
@@ -97,20 +124,20 @@ std::shared_ptr<Session> ConnectionPool::make_session(const std::string& domain,
   switch (version) {
     case HttpVersion::H1_1:
       ++stats_.h1_connections;
-      obs::count("http.pool.connections.h1", sim_.now());
+      obs::count(kPoolConnectionsH1, sim_.now());
       break;
     case HttpVersion::H2:
       ++stats_.h2_connections;
-      obs::count("http.pool.connections.h2", sim_.now());
+      obs::count(kPoolConnectionsH2, sim_.now());
       break;
     case HttpVersion::H3:
       ++stats_.h3_connections;
-      obs::count("http.pool.connections.h3", sim_.now());
+      obs::count(kPoolConnectionsH3, sim_.now());
       break;
   }
   if (mode != tls::HandshakeMode::Fresh) {
     ++stats_.resumed_connections;
-    obs::count("http.pool.resumed_connections", sim_.now());
+    obs::count(kPoolResumedConnections, sim_.now());
   }
   if (mode == tls::HandshakeMode::ZeroRtt) ++stats_.zero_rtt_connections;
 
@@ -174,7 +201,7 @@ std::shared_ptr<Session> ConnectionPool::session_for(const std::string& domain,
 void ConnectionPool::fetch(const Request& request, FetchDone done) {
   H3CDN_EXPECTS(!request.domain.empty());
   ++stats_.entries_submitted;
-  obs::count("http.entries_submitted", sim_.now());
+  obs::count(kEntriesSubmitted, sim_.now());
   auto& state = origin_state(request.domain);
   HttpVersion version = protocol_for(*state.info);
   if (config_.protocol_hint && state.info->supports_h2) {
@@ -186,7 +213,7 @@ void ConnectionPool::fetch(const Request& request, FetchDone done) {
     }
     if (version != default_pick) {
       ++stats_.hint_overrides;
-      obs::count("http.hint_overrides");
+      obs::count(kHintOverrides);
     }
   }
   // Alt-Svc brokenness: a host whose H3 died routes to H2 until the timed
@@ -204,7 +231,7 @@ void ConnectionPool::fetch(const Request& request, FetchDone done) {
     version = HttpVersion::H2;
     ++stats_.breaker_demotions;
     ++eng->stats.breaker_demotions;
-    obs::count("resilience.breaker.demotions", sim_.now());
+    obs::count(kBreakerDemotions, sim_.now());
   }
 
   std::shared_ptr<Session> session = session_for(request.domain, state, version);
@@ -254,13 +281,13 @@ FetchDone ConnectionPool::with_resilience(const Request& routed, HttpVersion ver
       if (st->hedged) {
         if (t.failed) {
           ++eng->stats.hedges_cancelled;
-          obs::count("resilience.hedges_cancelled", sim_.now());
+          obs::count(kHedgesCancelled, sim_.now());
         } else if (is_hedge_copy) {
           ++eng->stats.hedges_won;
-          obs::count("resilience.hedges_won", sim_.now());
+          obs::count(kHedgesWon, sim_.now());
         } else {
           ++eng->stats.hedges_lost;
-          obs::count("resilience.hedges_lost", sim_.now());
+          obs::count(kHedgesLost, sim_.now());
         }
       }
       if (!t.failed) {
@@ -289,7 +316,7 @@ FetchDone ConnectionPool::with_resilience(const Request& routed, HttpVersion ver
           ++st->outstanding;
           ++eng->stats.hedges_launched;
           ++stats_.hedges_launched;
-          obs::count("resilience.hedges_launched", sim_.now());
+          obs::count(kHedgesLaunched, sim_.now());
           auto& state = origin_state(copy.domain);
           HttpVersion hedge_version = version;
           if (version == HttpVersion::H3) {
@@ -313,7 +340,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
                                      transport::ConnectionError error,
                                      std::vector<Session::Orphan> orphans) {
   ++stats_.connection_deaths;
-  obs::count("http.pool.connection_deaths", sim_.now());
+  obs::count(kPoolConnectionDeaths, sim_.now());
   const bool refused = error == transport::ConnectionError::Refused;
   const trace::FaultKind fault = refused ? trace::FaultKind::Refused
                                  : error == transport::ConnectionError::Blackhole
@@ -373,8 +400,8 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
         ++eng->stats.resumed_requests;
         stats_.resumed_bytes += saved;
         eng->stats.resumed_bytes += saved;
-        obs::count("resilience.resumed_requests", sim_.now());
-        obs::count("resilience.resumed_bytes", sim_.now(), saved);
+        obs::count(kResumedRequests, sim_.now());
+        obs::count(kResumedBytes, sim_.now(), saved);
       }
     } else {
       orphan.bytes_received = 0;
@@ -388,7 +415,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
   // capacity pushback is not a path or protocol failure.
   if (refused) {
     ++stats_.connections_refused;
-    obs::count("http.pool.connections_refused", sim_.now());
+    obs::count(kPoolConnectionsRefused, sim_.now());
     for (auto& orphan : orphans) {
       if (alive.expired()) return;
       if (const FailureReason reason = past_budget(orphan); reason != FailureReason::None) {
@@ -397,11 +424,11 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
       }
       ++stats_.requests_rescued;
       ++stats_.refusal_retries;
-      obs::count("http.pool.requests_rescued", sim_.now());
-      obs::count("http.pool.refusal_retries", sim_.now());
+      obs::count(kPoolRequestsRescued, sim_.now());
+      obs::count(kPoolRefusalRetries, sim_.now());
       if (eng != nullptr) {
         ++eng->stats.retries;
-        obs::count("resilience.retries", sim_.now());
+        obs::count(kRetries, sim_.now());
       }
       record_fault(trace::EventType::FallbackTriggered, fault);
       prepare_resume(orphan);
@@ -441,7 +468,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
     h3_broken_until_[domain] = sim_.now() + config_.h3_broken_ttl;
     ++stats_.h3_broken_marks;
     ++stats_.h3_fallbacks;
-    obs::count("http.pool.h3_fallbacks", sim_.now());
+    obs::count(kPoolH3Fallbacks, sim_.now());
     record_fault(trace::EventType::H3BrokenMarked, fault);
     reroute = HttpVersion::H2;
   }
@@ -453,14 +480,14 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
       continue;
     }
     ++stats_.requests_rescued;
-    obs::count("http.pool.requests_rescued", sim_.now());
+    obs::count(kPoolRequestsRescued, sim_.now());
     record_fault(trace::EventType::FallbackTriggered, fault);
     prepare_resume(orphan);
     if (eng != nullptr) {
       // Engine rescues back off (exponential + deterministic jitter) instead
       // of redialling instantly, so a dead edge is not hammered in lockstep.
       ++eng->stats.retries;
-      obs::count("resilience.retries", sim_.now());
+      obs::count(kRetries, sim_.now());
       const Duration backoff = eng->retry().backoff_for(orphan.attempts, rng_);
       sim_.schedule_in(backoff, [this, orphan = std::move(orphan), reroute,
                                  alive = std::weak_ptr<char>(alive_)]() mutable {
@@ -477,11 +504,11 @@ void ConnectionPool::fail_orphan(Session::Orphan orphan, HttpVersion version,
                                  FailureReason reason) {
   H3CDN_EXPECTS(reason != FailureReason::None);
   ++stats_.requests_failed;
-  obs::count("http.entries_failed", sim_.now());
+  obs::count(kEntriesFailed, sim_.now());
   if (reason == FailureReason::DeadlineExceeded) {
     ++stats_.deadline_failures;
     if (resilience::Engine* eng = engine()) ++eng->stats.deadline_failures;
-    obs::count("resilience.deadline_failures", sim_.now());
+    obs::count(kDeadlineFailures, sim_.now());
   }
   EntryTimings t;
   t.started = orphan.submitted;

@@ -8,6 +8,14 @@
 namespace h3cdn::http {
 
 namespace {
+
+const obs::MetricId kEntriesCompleted{"http.entries_completed"};
+const obs::MetricId kEntryTotalMs{"http.entry.total_ms"};
+const obs::MetricId kEntryConnectMs{"http.entry.connect_ms"};
+const obs::MetricId kEntryBlockedMs{"http.entry.blocked_ms"};
+const obs::MetricId kEntryTtfbMs{"http.entry.ttfb_ms"};
+const obs::MetricId kEntryReceiveMs{"http.entry.receive_ms"};
+
 Duration clamp_nonneg(Duration d) { return std::max(d, Duration::zero()); }
 }  // namespace
 
@@ -146,13 +154,13 @@ void Session::finalize(std::shared_ptr<ActiveEntry> entry, TimePoint completed) 
   H3CDN_ASSERT(in_flight_ > 0);
   --in_flight_;
   ++entries_completed_;
-  obs::count("http.entries_completed");
+  obs::count(kEntriesCompleted);
   if (obs::enabled()) {
-    obs::observe_ms("http.entry.total_ms", t.total());
-    obs::observe_ms("http.entry.connect_ms", t.connect);
-    obs::observe_ms("http.entry.blocked_ms", t.blocked);
-    obs::observe_ms("http.entry.ttfb_ms", t.wait);
-    obs::observe_ms("http.entry.receive_ms", t.receive);
+    obs::observe_ms(kEntryTotalMs, t.total());
+    obs::observe_ms(kEntryConnectMs, t.connect);
+    obs::observe_ms(kEntryBlockedMs, t.blocked);
+    obs::observe_ms(kEntryTtfbMs, t.wait);
+    obs::observe_ms(kEntryReceiveMs, t.receive);
   }
   std::erase(active_, entry);
   auto done = entry->done;

@@ -7,6 +7,21 @@
 
 namespace h3cdn::load {
 
+namespace {
+
+const obs::MetricId kArrivalsCapped{"load.arrivals_capped"};
+const obs::MetricId kArrivals{"load.arrivals"};
+const obs::MetricId kVisits{"load.visits"};
+const obs::MetricId kVisitsFailed{"load.visits_failed"};
+const obs::MetricId kPltMs{"load.plt_ms"};
+const obs::MetricId kTtfbMs{"load.ttfb_ms"};
+const obs::MetricId kQoeFcpMs{"load.qoe_fcp_ms"};
+const obs::MetricId kQueueDepth{"load.queue_depth"};
+const obs::MetricId kConcurrentConnections{"load.concurrent_connections"};
+const obs::MetricId kBusyCores{"load.busy_cores"};
+
+}  // namespace
+
 Fleet::Fleet(sim::Simulator& sim, const web::Workload& workload, std::size_t site_count,
              ServerFarm& farm, FleetConfig config, util::Rng rng)
     : sim_(sim), workload_(workload),
@@ -137,7 +152,7 @@ FleetOutcome Fleet::run() {
     auto arrivals = open_loop_arrivals(config_.arrival, arrival_rng);
     if (arrivals.size() > config_.max_visits) {
       outcome_.arrivals_capped = arrivals.size() - config_.max_visits;
-      obs::count("load.arrivals_capped", sim_.now(), outcome_.arrivals_capped);
+      obs::count(kArrivalsCapped, sim_.now(), outcome_.arrivals_capped);
       arrivals.resize(config_.max_visits);
     }
     outcome_.population = arrivals.size();
@@ -180,7 +195,7 @@ void Fleet::start_visit(std::size_t member, double weight) {
   --future_;
   ++active_;
   ++outcome_.arrivals;
-  obs::count("load.arrivals", sim_.now());
+  obs::count(kArrivals, sim_.now());
   const web::WebPage& page = workload_.sites[member % site_count_].page;
   const std::uint32_t stratum = stratum_of(member, sim_.now());
   const std::size_t ci = checkout_client(profile_of(member));
@@ -197,7 +212,7 @@ void Fleet::start_visit(std::size_t member, double weight) {
 void Fleet::user_visit(std::size_t client_index, std::size_t user, double weight) {
   ++active_;
   ++outcome_.arrivals;
-  obs::count("load.arrivals", sim_.now());
+  obs::count(kArrivals, sim_.now());
   const web::WebPage& page = workload_.sites[visit_counter_++ % site_count_].page;
   const TimePoint arrived = sim_.now();
   const std::uint32_t stratum = stratum_of(user, TimePoint{0});
@@ -261,16 +276,16 @@ void Fleet::finish_visit(std::size_t client_index, std::uint32_t root_id,
   outcome_.weight_sum += weight;
 
   const TimePoint finished = sim_.now();
-  obs::count("load.visits", finished);
+  obs::count(kVisits, finished);
   if (rec.root_failed) {
-    obs::count("load.visits_failed", finished);
+    obs::count(kVisitsFailed, finished);
   } else {
     // PLT and TTFB land in the visit's ARRIVAL window: the latency of a page
     // is a property of when its load started, which is what lines a PLT
     // spike up against the fault window that caused it.
-    obs::observe("load.plt_ms", arrived, to_ms(rec.plt));
-    obs::observe("load.ttfb_ms", arrived, to_ms(rec.ttfb));
-    obs::observe("load.qoe_fcp_ms", rec.fcp_ms);
+    obs::observe(kPltMs, arrived, to_ms(rec.plt));
+    obs::observe(kTtfbMs, arrived, to_ms(rec.ttfb));
+    obs::observe(kQoeFcpMs, rec.fcp_ms);
   }
   outcome_.visits.push_back(rec);
 }
@@ -280,9 +295,9 @@ void Fleet::sample_tick() {
   const ServerFarm::Sample s = farm_.sample(now);
   outcome_.queue_series.push_back(
       {now, s.accept_backlog, s.concurrent_connections, s.busy_cores});
-  obs::sample("load.queue_depth", now, static_cast<double>(s.accept_backlog));
-  obs::sample("load.concurrent_connections", now, static_cast<double>(s.concurrent_connections));
-  obs::sample("load.busy_cores", now, static_cast<double>(s.busy_cores));
+  obs::sample(kQueueDepth, now, static_cast<double>(s.accept_backlog));
+  obs::sample(kConcurrentConnections, now, static_cast<double>(s.concurrent_connections));
+  obs::sample(kBusyCores, now, static_cast<double>(s.busy_cores));
   if (active_ + future_ > 0) {
     sim_.schedule_in(config_.queue_sample_interval, [this] { sample_tick(); });
   }

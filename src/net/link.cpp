@@ -10,6 +10,16 @@ namespace h3cdn::net {
 
 namespace {
 
+const obs::MetricId kLinkTransmit{"net.link.transmit"};
+const obs::MetricId kLinkPacketsOffered{"net.link.packets_offered"};
+const obs::MetricId kLinkBytesOffered{"net.link.bytes_offered"};
+const obs::MetricId kLinkPacketsDropped{"net.link.packets_dropped"};
+const obs::MetricId kLinkDroppedBernoulli{"net.link.dropped.bernoulli"};
+const obs::MetricId kLinkDroppedBurst{"net.link.dropped.burst"};
+const obs::MetricId kLinkDroppedOutage{"net.link.dropped.outage"};
+const obs::MetricId kLinkPacketsDelivered{"net.link.packets_delivered"};
+const obs::MetricId kLinkSerializationWaitMs{"net.link.serialization_wait_ms"};
+
 // Clamp small floating-point overshoot of [0,1] (e.g. `baseline + injected`
 // rate sums) but refuse NaN and genuinely out-of-range values.
 double checked_loss_rate(double loss_rate) {
@@ -41,11 +51,11 @@ void Link::reseed_jitter(std::uint64_t salt) { jitter_rng_ = jitter_rng_.fork(sa
 void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bool lossless,
                     PacketClass pclass) {
   H3CDN_EXPECTS(on_deliver != nullptr);
-  obs::ProfileScope profile("net.link.transmit");
+  obs::ProfileScope profile(kLinkTransmit);
   ++stats_.packets_offered;
   stats_.bytes_offered += size_bytes;
-  obs::count("net.link.packets_offered");
-  obs::count("net.link.bytes_offered", size_bytes);
+  obs::count(kLinkPacketsOffered);
+  obs::count(kLinkBytesOffered, size_bytes);
 
   // Serialization: the link transmits packets back to back at bandwidth_bps.
   Duration tx_time{0};
@@ -72,19 +82,19 @@ void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bo
   }
   if (reason != DropReason::None) {
     ++stats_.packets_dropped;
-    obs::count("net.link.packets_dropped");
+    obs::count(kLinkPacketsDropped);
     switch (reason) {
       case DropReason::Bernoulli:
         ++stats_.dropped_bernoulli;
-        obs::count("net.link.dropped.bernoulli");
+        obs::count(kLinkDroppedBernoulli);
         break;
       case DropReason::Burst:
         ++stats_.dropped_burst;
-        obs::count("net.link.dropped.burst");
+        obs::count(kLinkDroppedBurst);
         break;
       case DropReason::Outage:
         ++stats_.dropped_outage;
-        obs::count("net.link.dropped.outage");
+        obs::count(kLinkDroppedOutage);
         break;
       case DropReason::None: break;
     }
@@ -108,8 +118,8 @@ void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bo
       std::max(next_free_ + config_.latency + jitter + extra_delay, last_arrival_);
   last_arrival_ = arrival;
   ++stats_.packets_delivered;
-  obs::count("net.link.packets_delivered");
-  obs::observe_ms("net.link.serialization_wait_ms", start - sim_.now());
+  obs::count(kLinkPacketsDelivered);
+  obs::observe_ms(kLinkSerializationWaitMs, start - sim_.now());
   sim_.schedule_at(arrival, std::move(on_deliver));
 }
 

@@ -6,28 +6,34 @@
 
 namespace h3cdn::obs {
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+namespace {
+
+/// One map search: the slot is created empty and filled only when new.
+template <typename T>
+T& find_or_create(std::map<std::string, std::unique_ptr<T>>& series, const std::string& name) {
+  const auto [it, inserted] = series.try_emplace(name);
+  if (inserted) it->second = std::make_unique<T>();
+  return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+}  // namespace
+
+Counter& MetricsRegistry::counter(const std::string& name) {
+  return find_or_create(counters_, name);
 }
+
+Gauge& MetricsRegistry::gauge(const std::string& name) { return find_or_create(gauges_, name); }
 
 Histogram& MetricsRegistry::histogram(const std::string& name) {
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  return find_or_create(histograms_, name);
 }
 
 void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
+  counter_index_.clear();
+  histogram_index_.clear();
   timeline_.clear();
   profiler_.clear();
 }

@@ -10,6 +10,11 @@
 //     default; the obs::count/observe/sample hooks and ProfileScope compile
 //     to a single pointer null-check in that case. Benchmarks hold the hot
 //     paths to < 2% overhead versus un-instrumented code.
+//   * Cheap when enabled. Hooks take an interned MetricId (obs/metric_id.h)
+//     declared once per call site; the registry, the timeline and the
+//     profiler each resolve an id to its series once and keep the pointer
+//     in a dense by-id index, so an enabled hook is a vector slot and a null
+//     check, never a string or a map search.
 //   * One hook call per event. The untimed hooks feed the run totals only;
 //     the timed overloads take the simulated instant `at` and feed the run
 //     totals and the timeline window holding `at`.
@@ -32,6 +37,7 @@
 #include <string>
 
 #include "obs/histogram.h"
+#include "obs/metric_id.h"
 #include "obs/profiler.h"
 #include "obs/timeline.h"
 #include "util/types.h"
@@ -68,8 +74,8 @@ class Gauge {
 };
 
 /// One run's named metrics, its timeline and its phase profile. Metric
-/// objects are owned by the registry and their addresses are stable for its
-/// lifetime; lookups create on first use. Iteration order is the
+/// objects are owned by the registry and their addresses are stable until
+/// clear(); lookups create on first use. Iteration order is the
 /// lexicographic name order (deterministic exports).
 class MetricsRegistry {
  public:
@@ -79,9 +85,20 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
+  /// By-name lookups: merges, tests and cold paths.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
+
+  /// By-id lookups: the hooks' path. The first call per id resolves by name.
+  Counter& counter(MetricId id) {
+    if (Counter* c = counter_index_.find(id)) return *c;
+    return counter_index_.remember(id, counter(id.name()));
+  }
+  Histogram& histogram(MetricId id) {
+    if (Histogram* h = histogram_index_.find(id)) return *h;
+    return histogram_index_.remember(id, histogram(id.name()));
+  }
 
   [[nodiscard]] const std::map<std::string, std::unique_ptr<Counter>>& counters() const {
     return counters_;
@@ -129,6 +146,8 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  MetricIndex<Counter> counter_index_;
+  MetricIndex<Histogram> histogram_index_;
   TimelineRecorder timeline_;
   PhaseProfiler profiler_;
 };
@@ -173,67 +192,65 @@ class ScopedMetrics {
 // explicitly: every call site already holds its Simulator clock, and passing
 // it keeps the registry free of any simulator dependency.
 
-inline void count(const char* name, std::uint64_t n = 1) {
-  if (MetricsRegistry* r = MetricsRegistry::global()) r->counter(name).inc(n);
+inline void count(MetricId id, std::uint64_t n = 1) {
+  if (MetricsRegistry* r = MetricsRegistry::global()) r->counter(id).inc(n);
 }
 
 /// Counts into the run total and the timeline window holding `at`.
-inline void count(const char* name, TimePoint at, std::uint64_t n = 1) {
+inline void count(MetricId id, TimePoint at, std::uint64_t n = 1) {
   if (MetricsRegistry* r = MetricsRegistry::global()) {
-    r->counter(name).inc(n);
-    r->timeline().count(name, at, n);
+    r->counter(id).inc(n);
+    r->timeline().count(id, at, n);
   }
 }
 
-inline void observe(const char* name, double v) {
-  if (MetricsRegistry* r = MetricsRegistry::global()) r->histogram(name).observe(v);
+inline void observe(MetricId id, double v) {
+  if (MetricsRegistry* r = MetricsRegistry::global()) r->histogram(id).observe(v);
 }
 
 /// Observes into the run histogram and the timeline window holding `at`.
-inline void observe(const char* name, TimePoint at, double v) {
+inline void observe(MetricId id, TimePoint at, double v) {
   if (MetricsRegistry* r = MetricsRegistry::global()) {
-    r->histogram(name).observe(v);
-    r->timeline().observe(name, at, v);
+    r->histogram(id).observe(v);
+    r->timeline().observe(id, at, v);
   }
 }
 
 /// Records a simulated duration in fractional milliseconds.
-inline void observe_ms(const char* name, Duration d) { observe(name, to_ms(d)); }
+inline void observe_ms(MetricId id, Duration d) { observe(id, to_ms(d)); }
 
 /// Records a simulated duration in fractional milliseconds, windowed at `at`.
-inline void observe_ms(const char* name, TimePoint at, Duration d) { observe(name, at, to_ms(d)); }
+inline void observe_ms(MetricId id, TimePoint at, Duration d) { observe(id, at, to_ms(d)); }
 
 /// Records a sampled level (queue depth, busy cores): a histogram of every
 /// sample in the run totals, and the window's last value as a timeline gauge.
-inline void sample(const char* name, TimePoint at, double v) {
+inline void sample(MetricId id, TimePoint at, double v) {
   if (MetricsRegistry* r = MetricsRegistry::global()) {
-    r->histogram(name).observe(v);
-    r->timeline().gauge_set(name, at, v);
+    r->histogram(id).observe(v);
+    r->timeline().gauge_set(id, at, v);
   }
 }
 
 /// RAII wall-clock scope timer into the installed registry's profiler.
-/// `name` must outlive the scope (use string literals). Costs one branch
-/// when no registry is installed.
+/// Costs one branch when no registry is installed.
 class ProfileScope {
  public:
-  explicit ProfileScope(const char* name) : registry_(MetricsRegistry::global()), name_(name) {
+  explicit ProfileScope(MetricId id) : registry_(MetricsRegistry::global()), id_(id) {
     if (registry_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ~ProfileScope() {
     if (registry_ == nullptr) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     registry_->profiler().record(
-        name_,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
+        id_, static_cast<std::uint64_t>(
+                 std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
   }
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
   MetricsRegistry* registry_;
-  const char* name_;
+  MetricId id_;
   std::chrono::steady_clock::time_point start_{};
 };
 

@@ -7,13 +7,6 @@
 
 namespace h3cdn::obs {
 
-void PhaseProfiler::record(const char* name, std::uint64_t ns) {
-  Phase& phase = phases_[name];
-  ++phase.calls;
-  phase.total_ns += ns;
-  phase.max_ns = std::max(phase.max_ns, ns);
-}
-
 void PhaseProfiler::merge_from(const PhaseProfiler& other) {
   for (const auto& [name, p] : other.phases_) {
     Phase& phase = phases_[name];

@@ -12,8 +12,9 @@
 // constructor and destructor are a single null-check each — safe to leave in
 // hot paths.
 //
+//   const obs::MetricId kRun{"sim.run"};
 //   void Simulator::run() {
-//     obs::ProfileScope scope("sim.run");
+//     obs::ProfileScope scope(kRun);
 //     ...
 //   }
 #pragma once
@@ -21,6 +22,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+
+#include "obs/metric_id.h"
 
 namespace h3cdn::obs {
 
@@ -36,7 +39,14 @@ class PhaseProfiler {
   PhaseProfiler(const PhaseProfiler&) = delete;
   PhaseProfiler& operator=(const PhaseProfiler&) = delete;
 
-  void record(const char* name, std::uint64_t ns);
+  /// Adds one call of `ns` to the phase `name` (merges, tests, cold paths).
+  void record(const std::string& name, std::uint64_t ns) { add(phases_[name], ns); }
+  /// The same by id: ProfileScope's path. The first call per id resolves by name.
+  void record(MetricId id, std::uint64_t ns) {
+    Phase* phase = index_.find(id);
+    if (phase == nullptr) phase = &index_.remember(id, phases_[id.name()]);
+    add(*phase, ns);
+  }
 
   /// Shard merge: calls and total time add, max takes the larger. Merging
   /// every shard profiler reproduces what one shared profiler would have
@@ -44,7 +54,10 @@ class PhaseProfiler {
   void merge_from(const PhaseProfiler& other);
 
   [[nodiscard]] const std::map<std::string, Phase>& phases() const { return phases_; }
-  void clear() { phases_.clear(); }
+  void clear() {
+    phases_.clear();
+    index_.clear();
+  }
 
   /// Plain-text table: phase, calls, total ms, mean us, max us.
   [[nodiscard]] std::string report() const;
@@ -53,7 +66,14 @@ class PhaseProfiler {
   [[nodiscard]] std::string to_json() const;
 
  private:
+  static void add(Phase& phase, std::uint64_t ns) {
+    ++phase.calls;
+    phase.total_ns += ns;
+    if (ns > phase.max_ns) phase.max_ns = ns;
+  }
+
   std::map<std::string, Phase> phases_;
+  MetricIndex<Phase> index_;
 };
 
 }  // namespace h3cdn::obs

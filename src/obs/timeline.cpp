@@ -12,25 +12,6 @@ TimelineRecorder::TimelineRecorder(Duration bucket) : bucket_(bucket) {
   H3CDN_EXPECTS(bucket_.count() > 0);
 }
 
-std::int64_t TimelineRecorder::bucket_of(TimePoint at) const {
-  if (at.count() <= 0) return 0;
-  return at.count() / bucket_.count();
-}
-
-void TimelineRecorder::count(const std::string& name, TimePoint at, std::uint64_t n) {
-  counters_[name][bucket_of(at)] += n;
-}
-
-void TimelineRecorder::gauge_set(const std::string& name, TimePoint at, double v) {
-  GaugeBucket& b = gauges_[name][bucket_of(at)];
-  ++b.sets;
-  b.last = v;
-}
-
-void TimelineRecorder::observe(const std::string& name, TimePoint at, double v) {
-  histograms_[name][bucket_of(at)].observe(v);
-}
-
 std::int64_t TimelineRecorder::span_buckets() const {
   std::int64_t last = -1;
   for (const auto& [name, series] : counters_) {
@@ -60,6 +41,9 @@ void TimelineRecorder::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
+  counter_index_.clear();
+  gauge_index_.clear();
+  histogram_index_.clear();
 }
 
 void TimelineRecorder::merge_from(const TimelineRecorder& other) {

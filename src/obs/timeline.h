@@ -8,7 +8,8 @@
 //   * The recorder has no hooks or install of its own: each MetricsRegistry
 //     owns one, and the timed obs::count/observe/observe_ms/sample overloads
 //     in obs/metrics.h write the run total and the window in one call. Zero
-//     cost when disabled, like every hook there.
+//     cost when disabled, like every hook there; when enabled, the hooks'
+//     MetricId resolves to its series through a by-id index (obs/metric_id.h).
 //   * One recorder per shard (inside the shard's registry); the study/chaos
 //     driver merges shard registries in canonical shard order afterwards.
 //     Merge is BUCKET-WISE: counter windows add, gauge windows take the
@@ -26,6 +27,7 @@
 #include <string>
 
 #include "obs/histogram.h"
+#include "obs/metric_id.h"
 #include "util/types.h"
 
 namespace h3cdn::obs {
@@ -45,11 +47,9 @@ class TimelineRecorder {
 
   /// Window index of a simulated instant (integral floor division; negative
   /// instants clamp to window 0 — sim time starts at zero).
-  [[nodiscard]] std::int64_t bucket_of(TimePoint at) const;
-
-  void count(const std::string& name, TimePoint at, std::uint64_t n = 1);
-  void gauge_set(const std::string& name, TimePoint at, double v);
-  void observe(const std::string& name, TimePoint at, double v);
+  [[nodiscard]] std::int64_t bucket_of(TimePoint at) const {
+    return at.count() <= 0 ? 0 : at.count() / bucket_.count();
+  }
 
   /// Last gauge value written in a window, plus how many writes landed there
   /// (`sets` == 0 never occurs in a stored bucket; empty windows are absent).
@@ -62,6 +62,28 @@ class TimelineRecorder {
   using CounterSeries = std::map<std::int64_t, std::uint64_t>;
   using GaugeSeries = std::map<std::int64_t, GaugeBucket>;
   using HistogramSeries = std::map<std::int64_t, Histogram>;
+
+  /// By-name recording: merges, tests and cold paths.
+  void count(const std::string& name, TimePoint at, std::uint64_t n = 1) {
+    add_count(counters_[name], at, n);
+  }
+  void gauge_set(const std::string& name, TimePoint at, double v) {
+    set_gauge(gauges_[name], at, v);
+  }
+  void observe(const std::string& name, TimePoint at, double v) {
+    histograms_[name][bucket_of(at)].observe(v);
+  }
+
+  /// By-id recording: the hooks' path. The first call per id resolves by name.
+  void count(MetricId id, TimePoint at, std::uint64_t n = 1) {
+    add_count(resolve(counter_index_, counters_, id), at, n);
+  }
+  void gauge_set(MetricId id, TimePoint at, double v) {
+    set_gauge(resolve(gauge_index_, gauges_, id), at, v);
+  }
+  void observe(MetricId id, TimePoint at, double v) {
+    resolve(histogram_index_, histograms_, id)[bucket_of(at)].observe(v);
+  }
 
   [[nodiscard]] const std::map<std::string, CounterSeries>& counters() const {
     return counters_;
@@ -94,10 +116,28 @@ class TimelineRecorder {
   void merge_from(const TimelineRecorder& other);
 
  private:
+  template <typename Series>
+  static Series& resolve(MetricIndex<Series>& index, std::map<std::string, Series>& storage,
+                         MetricId id) {
+    if (Series* series = index.find(id)) return *series;
+    return index.remember(id, storage[id.name()]);
+  }
+  void add_count(CounterSeries& series, TimePoint at, std::uint64_t n) {
+    series[bucket_of(at)] += n;
+  }
+  void set_gauge(GaugeSeries& series, TimePoint at, double v) {
+    GaugeBucket& b = series[bucket_of(at)];
+    ++b.sets;
+    b.last = v;
+  }
+
   Duration bucket_;
   std::map<std::string, CounterSeries> counters_;
   std::map<std::string, GaugeSeries> gauges_;
   std::map<std::string, HistogramSeries> histograms_;
+  MetricIndex<CounterSeries> counter_index_;
+  MetricIndex<GaugeSeries> gauge_index_;
+  MetricIndex<HistogramSeries> histogram_index_;
 };
 
 // --- Exporters --------------------------------------------------------------

@@ -5,6 +5,14 @@
 
 namespace h3cdn::resilience {
 
+namespace {
+
+const obs::MetricId kBreakerHalfOpened{"resilience.breaker.half_opened"};
+const obs::MetricId kBreakerClosed{"resilience.breaker.closed"};
+const obs::MetricId kBreakerOpened{"resilience.breaker.opened"};
+
+}  // namespace
+
 const char* to_string(BreakerState s) {
   switch (s) {
     case BreakerState::Closed: return "closed";
@@ -24,7 +32,7 @@ bool CircuitBreaker::allow(TimePoint now) {
       state_ = BreakerState::HalfOpen;
       probes_in_flight_ = 0;
       ++transitions_.half_opened;
-      obs::count("resilience.breaker.half_opened", now);
+      obs::count(kBreakerHalfOpened, now);
       [[fallthrough]];
     case BreakerState::HalfOpen:
       if (probes_in_flight_ >= config_.half_open_probes) return false;
@@ -45,7 +53,7 @@ void CircuitBreaker::record(TimePoint now, bool success) {
       samples_.clear();
       failures_in_window_ = 0;
       ++transitions_.closed;
-      obs::count("resilience.breaker.closed", now);
+      obs::count(kBreakerClosed, now);
     } else {
       open(now);
     }
@@ -76,7 +84,7 @@ void CircuitBreaker::open(TimePoint now) {
   opened_at_ = now;
   probes_in_flight_ = 0;
   ++transitions_.opened;
-  obs::count("resilience.breaker.opened", now);
+  obs::count(kBreakerOpened, now);
 }
 
 CircuitBreaker& BreakerRegistry::get(const std::string& domain, const char* proto) {

@@ -9,6 +9,9 @@ namespace h3cdn::sim {
 
 namespace {
 
+const obs::MetricId kRun{"sim.run"};
+const obs::MetricId kEventsExecuted{"sim.events_executed"};
+
 constexpr std::size_t kMinBuckets = 32;
 constexpr std::uint32_t kSlotMask32 = 0xffffffffu;
 
@@ -68,17 +71,17 @@ bool Simulator::cancel(EventId id) {
 }
 
 std::size_t Simulator::run() {
-  obs::ProfileScope profile("sim.run");
+  obs::ProfileScope profile(kRun);
   const std::size_t n = dispatch(TimePoint::max());
-  obs::count("sim.events_executed", n);
+  obs::count(kEventsExecuted, n);
   return n;
 }
 
 std::size_t Simulator::run_until(TimePoint until) {
-  obs::ProfileScope profile("sim.run");
+  obs::ProfileScope profile(kRun);
   const std::size_t n = dispatch(until);
   if (now_ < until) now_ = until;
-  obs::count("sim.events_executed", n);
+  obs::count(kEventsExecuted, n);
   return n;
 }
 

@@ -5,6 +5,15 @@
 
 namespace h3cdn::tls {
 
+namespace {
+
+const obs::MetricId kHandshakeFresh{"tls.handshake.fresh"};
+const obs::MetricId kHandshakeResumed{"tls.handshake.resumed"};
+const obs::MetricId kHandshakeZeroRtt{"tls.handshake.zero_rtt"};
+const obs::MetricId kHandshakeComputeMs{"tls.handshake.compute_ms"};
+
+}  // namespace
+
 int handshake_rtts(TransportKind transport, TlsVersion version, HandshakeMode mode) {
   if (transport == TransportKind::Quic) {
     // QUIC merges the transport and TLS 1.3 handshakes (RFC 9001 §4.1).
@@ -58,16 +67,16 @@ Duration handshake_compute_cost(TlsVersion version, HandshakeMode mode) {
       // Signature generation + verification; TLS1.2's RSA-heavy suites are
       // modelled slightly more expensive than TLS1.3's ECDSA defaults.
       cost = version == TlsVersion::Tls12 ? usec(1800) : usec(1200);
-      obs::count("tls.handshake.fresh");
+      obs::count(kHandshakeFresh);
       break;
     case HandshakeMode::Resumed:
-      obs::count("tls.handshake.resumed");
+      obs::count(kHandshakeResumed);
       break;
     case HandshakeMode::ZeroRtt:
-      obs::count("tls.handshake.zero_rtt");
+      obs::count(kHandshakeZeroRtt);
       break;
   }
-  obs::observe_ms("tls.handshake.compute_ms", cost);
+  obs::observe_ms(kHandshakeComputeMs, cost);
   return cost;
 }
 

@@ -4,9 +4,17 @@
 
 namespace h3cdn::tls {
 
+namespace {
+
+const obs::MetricId kTicketsStored{"tls.tickets.stored"};
+const obs::MetricId kTicketsMisses{"tls.tickets.misses"};
+const obs::MetricId kTicketsHits{"tls.tickets.hits"};
+
+}  // namespace
+
 void SessionTicketStore::store(SessionTicket ticket) {
   affinity_.assert_same_shard();
-  obs::count("tls.tickets.stored");
+  obs::count(kTicketsStored);
   tickets_[ticket.domain] = std::move(ticket);
 }
 
@@ -16,17 +24,17 @@ std::optional<SessionTicket> SessionTicketStore::find(const std::string& domain,
   auto it = tickets_.find(domain);
   if (it == tickets_.end()) {
     ++misses_;
-    obs::count("tls.tickets.misses");
+    obs::count(kTicketsMisses);
     return std::nullopt;
   }
   const SessionTicket& t = it->second;
   if (now >= t.issued_at + t.lifetime) {
     ++misses_;
-    obs::count("tls.tickets.misses");
+    obs::count(kTicketsMisses);
     return std::nullopt;
   }
   ++hits_;
-  obs::count("tls.tickets.hits");
+  obs::count(kTicketsHits);
   return t;
 }
 

@@ -9,6 +9,29 @@ namespace h3cdn::transport {
 
 namespace {
 
+const obs::MetricId kConnectionsOpened{"transport.connections_opened"};
+const obs::MetricId kConnectionsOpenedQuic{"transport.connections_opened.quic"};
+const obs::MetricId kConnectionsOpenedTcp{"transport.connections_opened.tcp"};
+const obs::MetricId kHandshakeRefused{"transport.handshake.refused"};
+const obs::MetricId kHandshakeAttempt{"transport.handshake_attempt"};
+const obs::MetricId kHandshakeRetries{"transport.handshake.retries"};
+const obs::MetricId kHandshakeDurationMs{"transport.handshake.duration_ms"};
+const obs::MetricId kStreamsOpened{"transport.streams_opened"};
+const obs::MetricId kPacketsSent{"transport.packets_sent"};
+const obs::MetricId kRetransmissions{"transport.retransmissions"};
+const obs::MetricId kFlowBlocked{"transport.flow_blocked"};
+const obs::MetricId kStallHolMs{"transport.stall.hol_ms"};
+const obs::MetricId kStallRetxWaitMs{"transport.stall.retx_wait_ms"};
+const obs::MetricId kStallSpans{"transport.stall.spans"};
+const obs::MetricId kStallFlowControl{"transport.stall.flow_control"};
+const obs::MetricId kStallFlowControlMs{"transport.stall.flow_control_ms"};
+const obs::MetricId kPacketsLost{"transport.packets_lost"};
+const obs::MetricId kRtoFires{"transport.rto_fires"};
+const obs::MetricId kDeathsHandshakeTimeout{"transport.deaths.handshake_timeout"};
+const obs::MetricId kDeathsRefused{"transport.deaths.refused"};
+const obs::MetricId kDeathsKilled{"transport.deaths.killed"};
+const obs::MetricId kDeathsBlackhole{"transport.deaths.blackhole"};
+
 Duration initial_rto_for_path(const net::NetPath& path) {
   // Until an RTT sample exists, time out after twice the base path RTT
   // (plus slack for serialization), floored at 250 ms — in the same regime
@@ -92,9 +115,8 @@ void Connection::connect(std::function<void(TimePoint)> on_ready) {
   on_ready_ = std::move(on_ready);
   stats_.mode = mode_;
   stats_.connect_start = sim_.now();
-  obs::count("transport.connections_opened");
-  obs::count(kind_ == tls::TransportKind::Quic ? "transport.connections_opened.quic"
-                                               : "transport.connections_opened.tcp");
+  obs::count(kConnectionsOpened);
+  obs::count(kind_ == tls::TransportKind::Quic ? kConnectionsOpenedQuic : kConnectionsOpenedTcp);
   if (trace_) trace_->record({sim_.now(), trace::EventType::HandshakeStarted});
 
   hs_total_steps_ = tls::handshake_rtts(kind_, version_, mode_);
@@ -109,7 +131,7 @@ void Connection::connect(std::function<void(TimePoint)> on_ready) {
         // 0-RTT rejection at capacity: the client only learns one round trip
         // later, when the refusal flight lands. Modelled lossless — there is
         // no handshake timer in this path to drive a retry.
-        obs::count("transport.handshake.refused");
+        obs::count(kHandshakeRefused);
         path_.send_up(
             config_.handshake_client_packet_bytes,
             [self] {
@@ -146,7 +168,7 @@ Duration Connection::handshake_timeout_now() const {
 }
 
 void Connection::start_handshake_attempt() {
-  obs::ProfileScope profile("transport.handshake_attempt");
+  obs::ProfileScope profile(kHandshakeAttempt);
   const std::uint64_t gen = ++hs_generation_;
   auto self = shared_from_this();
 
@@ -173,7 +195,7 @@ void Connection::start_handshake_attempt() {
             // Refused (RST / CONNECTION_REFUSED analogue): a small terminal
             // flight. If it is lost, the handshake timer retries the attempt
             // and the retry re-consults the (possibly drained) server.
-            obs::count("transport.handshake.refused");
+            obs::count(kHandshakeRefused);
             self->path_.send_down(
                 self->config_.handshake_small_flight_bytes,
                 [self, gen] {
@@ -210,7 +232,7 @@ void Connection::start_handshake_attempt() {
     }
     ++self->stats_.handshake_retries;
     ++self->hs_retries_this_step_;
-    obs::count("transport.handshake.retries");
+    obs::count(kHandshakeRetries);
     if (self->trace_) {
       trace::Event ev{self->sim_.now(), trace::EventType::HandshakeRetry};
       ev.fault = trace::FaultKind::HandshakeTimeout;
@@ -239,7 +261,7 @@ void Connection::finish_handshake() {
   ready_ = true;
   stats_.ready_at = sim_.now();
   stats_.connect_time = stats_.ready_at - stats_.connect_start;
-  obs::observe_ms("transport.handshake.duration_ms", stats_.connect_time);
+  obs::observe_ms(kHandshakeDurationMs, stats_.connect_time);
   if (trace_) trace_->record({sim_.now(), trace::EventType::HandshakeFinished});
 
   // NewSessionTicket: servers (re)issue tickets on every connection; the
@@ -293,7 +315,7 @@ StreamId Connection::fetch(std::size_t request_bytes, std::size_t response_bytes
   streams_.emplace(sid, std::move(st));
   ++stats_.streams_opened;
   ++active_stream_count_;
-  obs::count("transport.streams_opened");
+  obs::count(kStreamsOpened);
   if (trace_) {
     trace::Event ev{sim_.now(), trace::EventType::StreamOpened};
     ev.stream_id = sid;
@@ -429,10 +451,10 @@ void Connection::send_chunk(Dir d, const Chunk& chunk, bool is_retx) {
   s.in_flight.emplace(num, SentPacket{chunk, sim_.now(), is_retx});
   ++stats_.packets_sent;
   stats_.bytes_sent += chunk.len;
-  obs::count("transport.packets_sent");
+  obs::count(kPacketsSent);
   if (is_retx) {
     ++stats_.retransmissions;
-    obs::count("transport.retransmissions");
+    obs::count(kRetransmissions);
   }
   if (trace_) {
     trace::Event ev{sim_.now(),
@@ -480,7 +502,7 @@ void Connection::pump(Dir d) {
     }
     if (data_pending) {
       ++stats_.flow_blocked_events;
-      obs::count("transport.flow_blocked");
+      obs::count(kFlowBlocked);
       // Connection-scope starvation (MAX_DATA exhausted) opens a stall span;
       // it closes when the receiver's next credit grant arrives. Stream-scope
       // blocks are excluded: only the connection window couples streams.
@@ -621,14 +643,14 @@ void Connection::close_resp_stall(StreamId sid, bool cross_stream) {
   if (cross_stream) {
     st.hol_stall_total += span;
     stats_.hol_stall_total += span;
-    obs::observe_ms("transport.stall.hol_ms", span);
+    obs::observe_ms(kStallHolMs, span);
   } else {
     st.retx_wait_total += span;
     stats_.retx_wait_total += span;
-    obs::observe_ms("transport.stall.retx_wait_ms", span);
+    obs::observe_ms(kStallRetxWaitMs, span);
   }
   ++stats_.stall_spans;
-  obs::count("transport.stall.spans");
+  obs::count(kStallSpans);
   if (trace_) {
     trace::Event ev{sim_.now(), trace::EventType::StreamStallSpan};
     ev.stream_id = sid;
@@ -648,8 +670,8 @@ void Connection::close_fc_stall(Dir d) {
   if (span <= Duration::zero()) return;
   stats_.flow_control_stall_total += span;
   ++stats_.flow_control_stalls;
-  obs::count("transport.stall.flow_control");
-  obs::observe_ms("transport.stall.flow_control_ms", span);
+  obs::count(kStallFlowControl);
+  obs::observe_ms(kStallFlowControlMs, span);
   if (trace_) {
     trace::Event ev{sim_.now(), trace::EventType::FlowControlStallSpan};
     ev.duration_ms = to_ms(span);
@@ -894,7 +916,7 @@ void Connection::declare_lost(Dir d, std::uint64_t packet_num, bool from_rto) {
   const SentPacket pkt = it->second;
   s.in_flight.erase(it);
   ++stats_.packets_declared_lost;
-  obs::count("transport.packets_lost");
+  obs::count(kPacketsLost);
   if (trace_) {
     trace::Event ev{sim_.now(), trace::EventType::PacketLost};
     ev.packet_number = packet_num;
@@ -935,7 +957,7 @@ void Connection::handle_rto(Dir d) {
   s.rto_timer = 0;
   if (s.in_flight.empty()) return;
   ++stats_.rto_fires;
-  obs::count("transport.rto_fires");
+  obs::count(kRtoFires);
   if (trace_) {
     trace::Event ev{sim_.now(), trace::EventType::RtoFired};
     ev.is_client_to_server = d == Dir::Up;
@@ -966,10 +988,10 @@ void Connection::die(ConnectionError error) {
   if (closed_) return;
   H3CDN_EXPECTS(error != ConnectionError::None);
   stats_.error = error;
-  obs::count(error == ConnectionError::HandshakeTimeout ? "transport.deaths.handshake_timeout"
-             : error == ConnectionError::Refused        ? "transport.deaths.refused"
-             : error == ConnectionError::Killed         ? "transport.deaths.killed"
-                                                        : "transport.deaths.blackhole");
+  obs::count(error == ConnectionError::HandshakeTimeout ? kDeathsHandshakeTimeout
+             : error == ConnectionError::Refused        ? kDeathsRefused
+             : error == ConnectionError::Killed         ? kDeathsKilled
+                                                        : kDeathsBlackhole);
   if (trace_) {
     trace::Event ev{sim_.now(), trace::EventType::ConnectionAborted};
     ev.fault = error == ConnectionError::HandshakeTimeout ? trace::FaultKind::HandshakeTimeout

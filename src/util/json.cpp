@@ -1,11 +1,20 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "util/check.h"
 
 namespace h3cdn::util {
+namespace {
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[24];  // the 20 digits of 2^64 - 1, or a sign and 19 digits
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
 
 void JsonWriter::pre_value() {
   if (!stack_.empty() && !expecting_value_) {
@@ -18,23 +27,29 @@ void JsonWriter::pre_value() {
 
 void JsonWriter::escape_into(std::string_view s) {
   out_ += '"';
-  for (char c : s) {
+  // Clean characters are appended in runs; only the ones JSON requires
+  // escaped (quote, backslash, < 0x20) break a run. Bytes >= 0x80 (UTF-8)
+  // and 0x7f pass through.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out_ += "\\\""; break;
       case '\\': out_ += "\\\\"; break;
       case '\n': out_ += "\\n"; break;
       case '\r': out_ += "\\r"; break;
       case '\t': out_ += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out_ += buf;
-        } else {
-          out_ += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out_.append(escaped, sizeof escaped);
+      }
     }
   }
+  out_.append(s.data() + run, s.size() - run);
   out_ += '"';
 }
 
@@ -95,9 +110,12 @@ JsonWriter& JsonWriter::value(double v) {
     // waterfall entry's total equals the sum of its parsed phases) survive
     // the round-trip for any simulated-milliseconds magnitude; %.6g lost
     // sub-0.01 ms precision once values crossed 1000 and broke them.
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.15g", v);
-    out_ += buf;
+    // [charconv] defines this call as printf's %.15g in the C locale, so the
+    // bytes are the same without the format-string parse.
+    char buf[32];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 15);
+    H3CDN_EXPECTS(ec == std::errc());
+    out_.append(buf, end);
   } else {
     out_ += "null";  // JSON has no NaN/Inf
   }
@@ -106,13 +124,13 @@ JsonWriter& JsonWriter::value(double v) {
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   pre_value();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   pre_value();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 

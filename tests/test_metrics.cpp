@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/json_parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace h3cdn::obs {
 namespace {
@@ -90,44 +94,51 @@ TEST(Metrics, HooksAreNoOpsWhenDisabled) {
   EXPECT_FALSE(enabled());
   // Must not crash or allocate a registry.
   const TimePoint at{msec(10)};
-  count("nope");
-  count("nope", at, 2);
-  observe("nope", 1.0);
-  observe("nope", at, 1.0);
-  observe_ms("nope", msec(5));
-  observe_ms("nope", at, msec(5));
-  sample("nope", at, 3.0);
-  { ProfileScope idle("ignored"); }
+  const MetricId nope{"nope"};
+  count(nope);
+  count(nope, at, 2);
+  observe(nope, 1.0);
+  observe(nope, at, 1.0);
+  observe_ms(nope, msec(5));
+  observe_ms(nope, at, msec(5));
+  sample(nope, at, 3.0);
+  { ProfileScope idle(MetricId{"ignored"}); }
   EXPECT_EQ(MetricsRegistry::global(), nullptr);
 }
 
 TEST(Metrics, ScopedInstallRoutesHooksAndRestores) {
   const TimePoint w0{msec(10)};
   const TimePoint w2{msec(600)};  // window 2 at the default 250 ms bucket
+  const MetricId hits{"hits"};
+  const MetricId plain{"plain"};
+  const MetricId phase_a{"phase_a"};
+  const MetricId phase_b{"phase_b"};
+  const MetricId latency_ms{"latency_ms"};
+  const MetricId depth{"depth"};
   MetricsRegistry outer;
   {
     ScopedMetrics outer_scope(&outer);
     EXPECT_TRUE(enabled());
-    count("hits", 2);
-    observe("plain", 1.0);
+    count(hits, 2);
+    observe(plain, 1.0);
     EXPECT_EQ(outer.timeline().series_count(), 0u);  // untimed hooks: run totals only
     {
       MetricsRegistry inner;
       ScopedMetrics inner_scope(&inner);
-      count("hits", w2);  // goes to inner, not outer
-      { ProfileScope a("phase_a"); }
-      { ProfileScope a("phase_a"); }
+      count(hits, w2);  // goes to inner, not outer
+      { ProfileScope a(phase_a); }
+      { ProfileScope a(phase_a); }
       EXPECT_EQ(inner.counters().at("hits")->value(), 1u);
       EXPECT_EQ(inner.timeline().counter_in_range("hits", 2, 2), 1u);
       EXPECT_EQ(inner.profiler().phases().at("phase_a").calls, 2u);
     }
     EXPECT_EQ(MetricsRegistry::global(), &outer);
-    count("hits", w0, 3);  // outer again: run total and window 0
-    observe_ms("latency_ms", msec(250));
-    observe_ms("latency_ms", w2, msec(50));
-    sample("depth", w0, 4.0);
-    sample("depth", w0, 9.0);
-    { ProfileScope b("phase_b"); }
+    count(hits, w0, 3);  // outer again: run total and window 0
+    observe_ms(latency_ms, msec(250));
+    observe_ms(latency_ms, w2, msec(50));
+    sample(depth, w0, 4.0);
+    sample(depth, w0, 9.0);
+    { ProfileScope b(phase_b); }
   }
   EXPECT_FALSE(enabled());
   EXPECT_EQ(outer.counters().at("hits")->value(), 5u);
@@ -257,6 +268,108 @@ TEST(Metrics, PrometheusHelpEscapesBackslashAndNewline) {
   EXPECT_NE(prom.find("weird\\\\name\\nwith.breaks"), std::string::npos) << prom;
   EXPECT_EQ(prom.find("# HELP weird_name_with_breaks Simulated-run counter weird\\name"),
             std::string::npos);
+}
+
+TEST(Metrics, TwoDeclarationsOfOneNameShareOneIdAndOneSeries) {
+  const MetricId first{"metric_id.shared"};
+  const MetricId second{std::string("metric_id.") + "shared"};
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(&first.name(), &second.name());
+  EXPECT_EQ(first.name(), "metric_id.shared");
+  EXPECT_FALSE(first == MetricId{"metric_id.other"});
+
+  MetricsRegistry reg;
+  ScopedMetrics scope(&reg);
+  const TimePoint at{msec(10)};
+  count(first, at);
+  count(second, at, 2);
+  EXPECT_EQ(reg.counters().size(), 1u);
+  EXPECT_EQ(reg.counters().at("metric_id.shared")->value(), 3u);
+  EXPECT_EQ(&reg.counter(first), &reg.counter("metric_id.shared"));
+  EXPECT_EQ(reg.timeline().counter_in_range("metric_id.shared", 0, 0), 3u);
+}
+
+TEST(Metrics, ConcurrentInterningFromPoolWorkersAgrees) {
+  // Every task interns the same 64 names, half of them in reverse order, so
+  // the workers race on first registration. Each name must come back with
+  // one index and its own spelling, whichever worker interned it first.
+  constexpr std::size_t kNames = 64;
+  constexpr std::size_t kTasks = 16;
+  std::vector<std::vector<std::uint32_t>> seen(kTasks, std::vector<std::uint32_t>(kNames));
+  util::ThreadPool pool(4);
+  pool.parallel_for(kTasks, [&](std::size_t task) {
+    for (std::size_t k = 0; k < kNames; ++k) {
+      const std::size_t n = task % 2 == 0 ? k : kNames - 1 - k;
+      const std::string name = "metric_id.concurrent." + std::to_string(n);
+      const MetricId id{name};
+      EXPECT_EQ(id.name(), name);
+      seen[task][n] = id.index();
+    }
+  });
+  for (std::size_t task = 1; task < kTasks; ++task) EXPECT_EQ(seen[task], seen[0]) << task;
+  std::vector<std::uint32_t> distinct = seen[0];
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(std::unique(distinct.begin(), distinct.end()), distinct.end());
+}
+
+TEST(Metrics, ExportsDoNotDependOnFirstTouchOrder) {
+  // The ids are interned in reverse name order, and the two registries
+  // touch the series in opposite orders: the exports are keyed by name, so
+  // their bytes must not move.
+  const std::vector<MetricId> ids = {MetricId{"order.c"}, MetricId{"order.b"},
+                                     MetricId{"order.a"}};
+  const auto record = [&](MetricsRegistry& reg, bool reversed) {
+    ScopedMetrics scope(&reg);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::size_t k = reversed ? ids.size() - 1 - i : i;
+      const TimePoint at{msec(300 * static_cast<std::int64_t>(k))};
+      count(ids[k], at, k + 1);
+      observe(ids[k], at, 10.0 * static_cast<double>(k + 1));
+      sample(ids[k], at, static_cast<double>(k));
+      reg.profiler().record(ids[k], 1000 * (k + 1));
+    }
+  };
+  MetricsRegistry forward;
+  MetricsRegistry backward;
+  record(forward, false);
+  record(backward, true);
+  EXPECT_EQ(metrics_to_json(forward), metrics_to_json(backward));
+  EXPECT_EQ(metrics_to_csv(forward), metrics_to_csv(backward));
+  EXPECT_EQ(metrics_to_prometheus(forward), metrics_to_prometheus(backward));
+  EXPECT_EQ(timeline_to_json(forward.timeline()), timeline_to_json(backward.timeline()));
+  EXPECT_EQ(timeline_to_csv(forward.timeline()), timeline_to_csv(backward.timeline()));
+  EXPECT_EQ(forward.profiler().to_json(), backward.profiler().to_json());
+  const std::string json = metrics_to_json(forward);
+  EXPECT_LT(json.find("order.a"), json.find("order.b"));
+  EXPECT_LT(json.find("order.b"), json.find("order.c"));
+}
+
+TEST(Metrics, HookAfterClearRecreatesItsSeries) {
+  // clear() frees every series; a by-id index that kept its pointers would
+  // write through freed memory here (caught under ASan).
+  const MetricId hits{"clear.hits"};
+  const MetricId latency{"clear.latency_ms"};
+  const MetricId depth{"clear.depth"};
+  const MetricId phase{"clear.phase"};
+  const TimePoint at{msec(600)};
+  MetricsRegistry reg;
+  ScopedMetrics scope(&reg);
+  for (int round = 0; round < 2; ++round) {
+    count(hits, at);
+    observe(latency, at, 5.0);
+    sample(depth, at, 2.0);
+    { ProfileScope timed(phase); }
+    EXPECT_EQ(reg.counters().at("clear.hits")->value(), 1u) << round;
+    EXPECT_EQ(reg.histograms().at("clear.latency_ms")->count(), 1u) << round;
+    EXPECT_EQ(reg.timeline().counter_in_range("clear.hits", 2, 2), 1u) << round;
+    EXPECT_EQ(reg.timeline().histograms().at("clear.latency_ms").at(2).count(), 1u) << round;
+    EXPECT_EQ(reg.timeline().gauges().at("clear.depth").at(2).sets, 1u) << round;
+    EXPECT_EQ(reg.profiler().phases().at("clear.phase").calls, 1u) << round;
+    reg.clear();
+    EXPECT_EQ(reg.series_count(), 0u);
+    EXPECT_EQ(reg.timeline().series_count(), 0u);
+    EXPECT_TRUE(reg.profiler().phases().empty());
+  }
 }
 
 }  // namespace

@@ -201,11 +201,15 @@ TEST(MetricsMerge, OwnedTimelineAndProfilerFoldWithTheRegistry) {
   // registries in canonical order folds their timelines bucket-wise into
   // exactly what one sequential registry recorded, and profiler calls add.
   const auto record = [](std::int64_t i) {
-    ProfileScope scope("cell");
+    static const MetricId kCell{"cell"};
+    static const MetricId kDeaths{"deaths"};
+    static const MetricId kPltMs{"plt_ms"};
+    static const MetricId kDepth{"depth"};
+    ProfileScope scope(kCell);
     const TimePoint at{msec(70 * i)};
-    count("deaths", at);
-    observe("plt_ms", at, 10.0 * static_cast<double>(i));
-    sample("depth", at, static_cast<double>(i % 5));
+    count(kDeaths, at);
+    observe(kPltMs, at, 10.0 * static_cast<double>(i));
+    sample(kDepth, at, static_cast<double>(i % 5));
   };
   constexpr std::int64_t kEvents = 20;
   MetricsRegistry sequential;

@@ -20,6 +20,9 @@
 namespace h3cdn::core {
 namespace {
 
+const obs::MetricId kCellEvents{"sweep.cell_events"};
+const obs::MetricId kCellMs{"sweep.cell_ms"};
+
 struct SweepOutput {
   std::vector<std::string> rows;
   std::string metrics_json;
@@ -35,8 +38,8 @@ SweepOutput run_synthetic_sweep(std::size_t cells, int jobs) {
   run_sweep(cells, jobs, &sink, [&](std::size_t cell, RunObservability* shard) {
     EXPECT_EQ(obs::MetricsRegistry::global(), &shard->metrics());
     for (std::size_t i = 0; i <= cell % 4; ++i) {
-      obs::count("sweep.cell_events", TimePoint{msec(100 * static_cast<std::int64_t>(cell))});
-      obs::observe("sweep.cell_ms", TimePoint{msec(50 * static_cast<std::int64_t>(i))},
+      obs::count(kCellEvents, TimePoint{msec(100 * static_cast<std::int64_t>(cell))});
+      obs::observe(kCellMs, TimePoint{msec(50 * static_cast<std::int64_t>(i))},
                    static_cast<double>(cell * 10 + i));
     }
     out.rows[cell] = "cell" + std::to_string(cell);

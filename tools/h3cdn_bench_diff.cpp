@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "numeric_flag.h"
 #include "obs/bench_diff.h"
 #include "util/table.h"
 
@@ -68,9 +69,13 @@ int main(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--noise" && i + 1 < argc) {
-      options.noise_frac = std::stod(argv[++i]);
+      const auto value = tools::parse_number<double>(arg, argv[++i], tools::kNonNegative);
+      if (!value) return 2;
+      options.noise_frac = *value;
     } else if (arg == "--abs-floor" && i + 1 < argc) {
-      options.abs_floor = std::stod(argv[++i]);
+      const auto value = tools::parse_number<double>(arg, argv[++i], tools::kNonNegative);
+      if (!value) return 2;
+      options.abs_floor = *value;
     } else if (arg == "--allow-config-mismatch") {
       options.require_matching_config = false;
     } else if (arg == "--include-wall") {

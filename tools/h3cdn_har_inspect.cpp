@@ -12,6 +12,7 @@
 #include "analysis/page_metrics.h"
 #include "browser/har_import.h"
 #include "browser/waterfall.h"
+#include "numeric_flag.h"
 #include "obs/critical_path.h"
 #include "util/table.h"
 
@@ -24,7 +25,10 @@ int main(int argc, char** argv) {
   }
   std::size_t top = 10;
   for (int i = 2; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--top") top = std::stoul(argv[i + 1]);
+    if (std::string(argv[i]) != "--top") continue;
+    const auto value = tools::parse_number<std::size_t>("--top", argv[i + 1], tools::kAtLeastOne);
+    if (!value) return 2;
+    top = *value;
   }
 
   std::ifstream file(argv[1]);

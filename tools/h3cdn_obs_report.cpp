@@ -34,6 +34,7 @@
 
 #include "obs/attribution.h"
 #include "obs/critical_path.h"
+#include "numeric_flag.h"
 #include "obs/waterfall.h"
 #include "util/json_parse.h"
 
@@ -71,6 +72,11 @@ Options parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto number = [&](std::size_t& out, tools::Range range) {
+      const auto value = tools::parse_number<std::size_t>(arg, next(), range);
+      if (!value) usage(argv[0]);
+      out = *value;
+    };
     if (arg == "--check") {
       o.check = true;
     } else if (arg == "--attribution") {
@@ -84,13 +90,13 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--json") {
       o.json = true;
     } else if (arg == "--waterfalls") {
-      o.waterfalls = std::stoul(next());
+      number(o.waterfalls, tools::kNonNegative);
     } else if (arg == "--width") {
-      o.width = std::stoul(next());
+      number(o.width, tools::kAtLeastOne);
     } else if (arg == "--min-series") {
-      o.min_series = std::stoul(next());
+      number(o.min_series, tools::kNonNegative);
     } else if (arg == "--min-layers") {
-      o.min_layers = std::stoul(next());
+      number(o.min_layers, tools::kNonNegative);
     } else if (!arg.empty() && arg[0] == '-') {
       usage(argv[0]);
     } else if (o.dir.empty()) {

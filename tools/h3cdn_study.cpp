@@ -47,17 +47,13 @@
 //
 // A numeric flag outside its range (or not a number) exits 2 with a message
 // naming the flag.
-#include <charconv>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/clusters.h"
@@ -68,6 +64,7 @@
 #include "load/chaos.h"
 #include "load/study.h"
 #include "net/link_profile.h"
+#include "numeric_flag.h"
 #include "web/workload_io.h"
 
 using namespace h3cdn;
@@ -119,37 +116,19 @@ struct Options {
   std::exit(2);
 }
 
-// The accepted values of a numeric flag: lo..hi, each end open or closed.
-struct Range {
-  double lo;
-  double hi = std::numeric_limits<double>::infinity();
-  bool lo_open = false;
-  bool hi_open = false;
-};
-constexpr Range kAtLeastOne{1};
-constexpr Range kNonNegative{0};
-constexpr Range kPositive{0, std::numeric_limits<double>::infinity(), true};
-constexpr Range kLossRate{0, 1, false, true};
+using tools::kAtLeastOne;
+using tools::kLossRate;
+using tools::kNonNegative;
+using tools::kPositive;
+using tools::Range;
 
 // Every numeric flag is read here: the whole text must parse as a T inside
 // `range`, else usage() follows a message naming the flag.
 template <typename T>
 T parse_number(const char* argv0, const std::string& flag, const std::string& text, Range range) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  const auto v = static_cast<double>(value);
-  const bool parsed = !text.empty() && ec == std::errc() && stop == end && std::isfinite(v);
-  if (parsed && (range.lo_open ? v > range.lo : v >= range.lo) &&
-      (range.hi_open ? v < range.hi : v <= range.hi)) {
-    return value;
-  }
-  std::cerr << argv0 << ": " << flag << " takes "
-            << (std::is_integral_v<T> ? "an integer" : "a number")
-            << (range.lo_open ? " > " : " >= ") << range.lo;
-  if (std::isfinite(range.hi)) std::cerr << (range.hi_open ? " and < " : " and <= ") << range.hi;
-  std::cerr << ", got '" << text << "'\n";
-  usage(argv0);
+  const std::optional<T> value = tools::parse_number<T>(flag, text, range);
+  if (!value) usage(argv0);
+  return *value;
 }
 
 Options parse(int argc, char** argv) {
