@@ -9,8 +9,8 @@
 #include <fstream>
 
 #include "net/path.h"
+#include "obs/trace_log.h"
 #include "sim/simulator.h"
-#include "trace/trace.h"
 #include "transport/connection.h"
 
 using namespace h3cdn;
@@ -18,12 +18,12 @@ using namespace h3cdn;
 namespace {
 
 struct RunOutcome {
-  std::shared_ptr<trace::ConnectionTrace> trace;
+  obs::TraceLog log;  // one track: the connection's
   double last_completion_ms = 0.0;
   transport::ConnectionStats stats;
 };
 
-RunOutcome run(tls::TransportKind kind, double loss) {
+void run(tls::TransportKind kind, double loss, const std::string& label, RunOutcome& out) {
   sim::Simulator sim;
   net::PathConfig pc;
   pc.rtt = msec(25);
@@ -33,9 +33,7 @@ RunOutcome run(tls::TransportKind kind, double loss) {
 
   auto conn = transport::Connection::create(sim, path, kind, tls::TlsVersion::Tls13,
                                             tls::HandshakeMode::Fresh, util::Rng(7), {});
-  RunOutcome out;
-  out.trace = std::make_shared<trace::ConnectionTrace>();
-  conn->set_trace(out.trace);
+  conn->set_trace(out.log.open(label));
   conn->connect([](TimePoint) {});
   for (int s = 0; s < 20; ++s) {
     transport::FetchCallbacks cbs;
@@ -46,7 +44,6 @@ RunOutcome run(tls::TransportKind kind, double loss) {
   }
   sim.run();
   out.stats = conn->stats();
-  return out;
 }
 
 }  // namespace
@@ -58,8 +55,12 @@ int main(int argc, char** argv) {
   std::printf("20 multiplexed 25KB transfers, 25ms RTT, %.1f%% loss\n\n", loss * 100);
   std::printf("%-34s %12s %12s\n", "metric", "TCP (h2)", "QUIC (h3)");
 
-  const auto tcp = run(tls::TransportKind::Tcp, loss);
-  const auto quic = run(tls::TransportKind::Quic, loss);
+  const std::string tcp_file = prefix + "_tcp.qlog.json";
+  const std::string quic_file = prefix + "_quic.qlog.json";
+  RunOutcome tcp;
+  RunOutcome quic;
+  run(tls::TransportKind::Tcp, loss, tcp_file, tcp);
+  run(tls::TransportKind::Quic, loss, quic_file, quic);
 
   auto row = [&](const char* name, auto get) {
     std::printf("%-34s %12llu %12llu\n", name,
@@ -73,14 +74,13 @@ int main(int argc, char** argv) {
   row("retransmissions", [](const RunOutcome& r) { return r.stats.retransmissions; });
   row("loss-timer (RTO/PTO) fires", [](const RunOutcome& r) { return r.stats.rto_fires; });
   row("cwnd updates traced", [](const RunOutcome& r) {
-    return r.trace->count(trace::EventType::CwndUpdated);
+    return r.log.tracks().front().count(obs::TraceEventType::CwndUpdated);
   });
 
-  for (const auto& [name, outcome] :
-       {std::pair{prefix + "_tcp.qlog.json", &tcp}, std::pair{prefix + "_quic.qlog.json", &quic}}) {
-    std::ofstream file(name);
-    file << outcome->trace->to_qlog_json(name);
-    std::printf("\nwrote %s (%zu events)", name.c_str(), outcome->trace->events().size());
+  for (const auto& [name, outcome] : {std::pair{&tcp_file, &tcp}, std::pair{&quic_file, &quic}}) {
+    std::ofstream file(*name);
+    file << obs::to_qlog_json(outcome->log);
+    std::printf("\nwrote %s (%zu events)", name->c_str(), outcome->log.event_count());
   }
   std::printf("\n\nTCP repairs tail losses on a >=200ms RTO that stalls every stream\n"
               "(head-of-line blocking); QUIC's time-threshold detection and rtt-scale\n"

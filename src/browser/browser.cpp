@@ -50,7 +50,12 @@ struct Browser::VisitState {
 Browser::Browser(sim::Simulator& sim, Environment& env, tls::SessionTicketStore* tickets,
                  BrowserConfig config, util::Rng rng)
     : sim_(sim), env_(env), tickets_(tickets), config_(std::move(config)), rng_(rng),
-      engine_(config_.resilience) {}
+      engine_(config_.resilience) {
+  obs::MetricsRegistry* registry = obs::MetricsRegistry::global();
+  if (registry != nullptr && !config_.trace_label.empty()) {
+    trace_bus_ = registry->traces().open(config_.trace_label + "/pool");
+  }
+}
 
 void Browser::visit(const web::WebPage& page, std::function<void(PageLoadResult)> on_load) {
   H3CDN_EXPECTS(on_load != nullptr);
@@ -72,11 +77,11 @@ void Browser::visit(const web::WebPage& page, std::function<void(PageLoadResult)
   pc.transport = config_.transport;
   pc.think_time = env_.think_fn();
   pc.server_hold = env_.hold_fn();
-  pc.connection_trace_factory = config_.connection_trace_factory;
+  pc.trace_label = config_.trace_label;
+  pc.trace_bus = trace_bus_;
   if (config_.resilience.enabled) pc.resilience = &engine_;
   visit->pool = std::make_unique<http::ConnectionPool>(sim_, pc, env_.resolver(), tickets_,
                                                        rng_.fork(page.site));
-  if (config_.pool_trace) visit->pool->set_trace(config_.pool_trace);
 
   // Partition subresources into discovery waves and bind wave-1 resources to
   // their trigger (deterministic round-robin over wave-0 resources).

@@ -52,14 +52,12 @@ struct BrowserConfig {
   // history persist across the visit's pages) and hands it to each per-page
   // pool.
   resilience::Options resilience;
-  // Observability wiring, both optional. `pool_trace` receives pool-level
-  // fault/recovery events (FallbackTriggered, H3BrokenMarked, ...);
-  // `connection_trace_factory` hands every new connection its own trace —
-  // typically both come from one obs::TraceAggregator so packet-level and
-  // pool-level events merge onto a single qlog timeline.
-  std::shared_ptr<trace::ConnectionTrace> pool_trace;
-  std::function<std::shared_ptr<trace::ConnectionTrace>(const std::string&, http::HttpVersion)>
-      connection_trace_factory;
+  // Tracing label of this browser's run; empty (the default) traces nothing.
+  // With a label and an installed obs::MetricsRegistry, the browser opens the
+  // run's "<label>/pool" track in that registry's TraceLog and every pool
+  // traces its connections there (http::PoolConfig::trace_label), so
+  // packet-level and pool-level events share one qlog timeline.
+  std::string trace_label;
 };
 
 struct PageLoadResult {
@@ -108,6 +106,7 @@ class Browser {
   BrowserConfig config_;
   util::Rng rng_;
   resilience::Engine engine_;  // per-browser: persists across page visits
+  obs::TraceHandle trace_bus_;  // the run's pool track (null when untraced)
   std::unordered_set<std::string> http_cache_;  // by URL; survives visits
 };
 

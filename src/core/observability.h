@@ -1,7 +1,7 @@
 // Run-level observability bundle: one object owning the metrics registry
-// (which holds the run's timeline and wall-clock profiler), trace
-// aggregator, and collected waterfalls for a study run, plus the artifact
-// writer that turns them into files.
+// (which holds the run's timeline, wall-clock profiler and trace log) and
+// the collected waterfalls for a study run, plus the artifact writer that
+// turns them into files.
 //
 // Wiring (see docs/OBSERVABILITY.md):
 //   core::RunObservability obs;
@@ -23,23 +23,15 @@
 #include "obs/fault_window.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace_hub.h"
 #include "obs/waterfall.h"
 
 namespace h3cdn::core {
 
 struct ObservabilityConfig {
-  // Per-connection trace ring-buffer capacity (0 = unbounded). The default
-  // keeps the packet tail of every connection without letting long fault
-  // runs grow traces without limit.
-  std::size_t trace_capacity = 4096;
-  // Cap on registered connection traces; once reached, new connections run
-  // untraced (pool bus traces are always kept). 0 = unlimited. In a sharded
-  // study the cap is split evenly across shards (see per_shard), so which
-  // connections get traced never depends on thread scheduling.
-  std::size_t max_traces = 256;
-  // Cap on collected waterfalls (one per page visit). 0 = unlimited. Split
-  // across shards like max_traces.
+  // Cap on collected waterfalls (one per page visit). 0 = unlimited. In a
+  // sharded run the cap is split evenly across shards (see per_shard), so
+  // which pages are kept never depends on thread scheduling. The trace log's
+  // caps are constants of obs::TraceLog, split the same way by run_sweep.
   std::size_t max_waterfalls = 0;
   // Window width of the sim-time timeline (timeline.{json,csv}); every shard
   // and chaos cell must use the same width or merge_from aborts.
@@ -48,10 +40,9 @@ struct ObservabilityConfig {
   // skip SLO evaluation entirely.
   std::vector<obs::SloObjective> slo = obs::default_slo_objectives();
 
-  /// The per-shard slice of this config: caps are divided evenly (rounded
-  /// up) across `shard_count` shards so every shard gets a deterministic
-  /// quota regardless of execution order; the ring-buffer capacity is
-  /// per-trace and stays unchanged.
+  /// The per-shard slice of this config: the waterfall cap is divided evenly
+  /// (rounded up) across `shard_count` shards so every shard gets a
+  /// deterministic quota regardless of execution order.
   [[nodiscard]] ObservabilityConfig per_shard(std::size_t shard_count) const;
 };
 
@@ -68,17 +59,10 @@ class RunObservability {
   [[nodiscard]] const obs::TimelineRecorder& timeline() const { return metrics_.timeline(); }
   [[nodiscard]] obs::PhaseProfiler& profiler() { return metrics_.profiler(); }
   [[nodiscard]] const obs::PhaseProfiler& profiler() const { return metrics_.profiler(); }
-  [[nodiscard]] obs::TraceAggregator& traces() { return traces_; }
-  [[nodiscard]] const obs::TraceAggregator& traces() const { return traces_; }
+  [[nodiscard]] obs::TraceLog& traces() { return metrics_.traces(); }
+  [[nodiscard]] const obs::TraceLog& traces() const { return metrics_.traces(); }
   [[nodiscard]] const std::vector<obs::Waterfall>& waterfalls() const { return waterfalls_; }
   [[nodiscard]] const ObservabilityConfig& config() const { return config_; }
-
-  /// Registers a connection trace under `label`, or returns nullptr when the
-  /// max_traces cap is reached (the connection then runs untraced).
-  std::shared_ptr<trace::ConnectionTrace> make_connection_trace(const std::string& label);
-
-  /// Registers a pool "bus" trace for cross-connection events. Never capped.
-  std::shared_ptr<trace::ConnectionTrace> make_bus_trace(const std::string& label);
 
   /// Stores a finished page's waterfall (dropped once past max_waterfalls;
   /// the drop is counted in the `obs.waterfalls_dropped` metric).
@@ -91,9 +75,9 @@ class RunObservability {
   }
 
   /// Folds a per-shard sink into this run-level one: the registry (metrics,
-  /// the bucket-wise timeline and profiler phases; see
-  /// obs::MetricsRegistry::merge_from) and fault annotations merge, the shard's
-  /// traces are appended after the ones already registered, and its
+  /// the bucket-wise timeline, profiler phases, and the trace tracks appended
+  /// after the ones already here; see obs::MetricsRegistry::merge_from) and
+  /// fault annotations merge, and the shard's
   /// waterfalls are re-admitted through add_waterfall (so the run-level
   /// max_waterfalls cap still binds). Callers must merge shards in canonical
   /// shard order — that single rule is what makes every artifact independent
@@ -111,10 +95,8 @@ class RunObservability {
  private:
   ObservabilityConfig config_;
   obs::MetricsRegistry metrics_;
-  obs::TraceAggregator traces_;
   std::vector<obs::Waterfall> waterfalls_;
   std::vector<obs::FaultAnnotation> fault_annotations_;
-  std::size_t connection_traces_ = 0;
 };
 
 }  // namespace h3cdn::core

@@ -52,22 +52,13 @@ std::vector<PageVisitRecord> ProbeRunTask::run(RunObservability* sink) const {
   browser::BrowserConfig bc = config->browser;
   bc.h3_enabled = h3_enabled;
 
-  // One shard = one Simulator, so all of its traces share a monotonic clock.
-  // The pool bus carries cross-connection events (fallbacks, H3-broken
-  // marks) onto the same timeline as the packet traces. The label doubles as
-  // the stable per-shard connection-id prefix in the merged qlog.
+  // One shard = one Simulator, so all of its trace tracks share a monotonic
+  // clock; the run's pool track puts cross-connection events (fallbacks,
+  // H3-broken marks) on the same timeline as the packet tracks. The label
+  // doubles as the stable per-shard connection-id prefix in the merged qlog.
   const std::string run_label =
       shard_vantage.name + "/p" + std::to_string(probe) + (h3_enabled ? "/h3" : "/h2");
-  if (sink != nullptr) {
-    bc.pool_trace = sink->make_bus_trace(run_label + "/pool");
-    auto counter = std::make_shared<std::uint64_t>(0);
-    bc.connection_trace_factory = [sink, run_label, counter](const std::string& domain,
-                                                             http::HttpVersion version) {
-      return sink->make_connection_trace(run_label + "/" + domain + "/" +
-                                         http::to_string(version) + "#" +
-                                         std::to_string(++*counter));
-    };
-  }
+  bc.trace_label = run_label;
 
   browser::Browser browser(sim, env, tickets_ptr, bc,
                            probe_rng.fork(h3_enabled ? "browser-h3" : "browser-h2"));

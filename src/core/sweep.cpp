@@ -24,6 +24,7 @@ void run_sweep(std::size_t cells, int jobs, RunObservability* sink,
     pool.parallel_for(cells, [&](std::size_t cell) {
       if (sink != nullptr) {
         shards[cell] = std::make_unique<RunObservability>(sink->config().per_shard(cells));
+        shards[cell]->traces().set_shard_count(cells);
       }
       RunObservability* shard = shards[cell].get();
       obs::ScopedMetrics scoped_metrics(shard ? &shard->metrics() : nullptr);

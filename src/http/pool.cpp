@@ -32,6 +32,7 @@ const obs::MetricId kRetries{"resilience.retries"};
 const obs::MetricId kPoolH3Fallbacks{"http.pool.h3_fallbacks"};
 const obs::MetricId kEntriesFailed{"http.entries_failed"};
 const obs::MetricId kDeadlineFailures{"resilience.deadline_failures"};
+const obs::MetricId kTracesDropped{"obs.traces_dropped"};
 
 }  // namespace
 
@@ -66,17 +67,16 @@ bool ConnectionPool::h3_broken(const std::string& domain) {
     h3_broken_until_.erase(it);
     ++stats_.h3_reprobes;
     obs::count(kPoolH3Reprobes, sim_.now());
-    record_fault(trace::EventType::H3ReProbe, trace::FaultKind::None);
+    record_fault(obs::TraceEventType::H3ReProbe, obs::FaultKind::None);
     return false;
   }
   return true;
 }
 
-void ConnectionPool::record_fault(trace::EventType type, trace::FaultKind fault) {
-  if (!trace_) return;
-  trace::Event event{sim_.now(), type};
+void ConnectionPool::record_fault(obs::TraceEventType type, obs::FaultKind fault) {
+  obs::TraceEvent event{sim_.now(), type};
   event.fault = fault;
-  trace_->record(event);
+  config_.trace_bus.record(event);
 }
 
 ConnectionPool::OriginState& ConnectionPool::origin_state(const std::string& domain) {
@@ -116,8 +116,12 @@ std::shared_ptr<Session> ConnectionPool::make_session(const std::string& domain,
   if (tickets_ != nullptr) {
     conn->set_ticket_sink([store = tickets_](tls::SessionTicket t) { store->store(std::move(t)); });
   }
-  if (config_.connection_trace_factory) {
-    conn->set_trace(config_.connection_trace_factory(domain, version));
+  obs::MetricsRegistry* registry = obs::MetricsRegistry::global();
+  if (registry != nullptr && !config_.trace_label.empty()) {
+    const obs::TraceHandle trace = registry->traces().open_connection(
+        config_.trace_label + "/" + domain + "/" + to_string(version));
+    if (!trace) obs::count(kTracesDropped);
+    conn->set_trace(trace);
   }
 
   ++stats_.connections_created;
@@ -342,12 +346,12 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
   ++stats_.connection_deaths;
   obs::count(kPoolConnectionDeaths, sim_.now());
   const bool refused = error == transport::ConnectionError::Refused;
-  const trace::FaultKind fault = refused ? trace::FaultKind::Refused
-                                 : error == transport::ConnectionError::Blackhole
-                                     ? trace::FaultKind::Blackhole
-                                 : error == transport::ConnectionError::Killed
-                                     ? trace::FaultKind::Outage
-                                     : trace::FaultKind::HandshakeTimeout;
+  const obs::FaultKind fault = refused ? obs::FaultKind::Refused
+                               : error == transport::ConnectionError::Blackhole
+                                   ? obs::FaultKind::Blackhole
+                               : error == transport::ConnectionError::Killed
+                                   ? obs::FaultKind::Outage
+                                   : obs::FaultKind::HandshakeTimeout;
 
   // Deregister the corpse so the next dial creates a fresh connection.
   if (session) {
@@ -430,7 +434,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
         ++eng->stats.retries;
         obs::count(kRetries, sim_.now());
       }
-      record_fault(trace::EventType::FallbackTriggered, fault);
+      record_fault(obs::TraceEventType::FallbackTriggered, fault);
       prepare_resume(orphan);
       const int exponent = std::max(0, orphan.attempts - 1);
       Duration backoff{config_.refusal_backoff_base.count() << std::min(exponent, 6)};
@@ -469,7 +473,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
     ++stats_.h3_broken_marks;
     ++stats_.h3_fallbacks;
     obs::count(kPoolH3Fallbacks, sim_.now());
-    record_fault(trace::EventType::H3BrokenMarked, fault);
+    record_fault(obs::TraceEventType::H3BrokenMarked, fault);
     reroute = HttpVersion::H2;
   }
 
@@ -481,7 +485,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
     }
     ++stats_.requests_rescued;
     obs::count(kPoolRequestsRescued, sim_.now());
-    record_fault(trace::EventType::FallbackTriggered, fault);
+    record_fault(obs::TraceEventType::FallbackTriggered, fault);
     prepare_resume(orphan);
     if (eng != nullptr) {
       // Engine rescues back off (exponential + deterministic jitter) instead

@@ -24,10 +24,10 @@
 #include "http/session.h"
 #include "http/types.h"
 #include "net/path.h"
+#include "obs/trace_log.h"
 #include "resilience/engine.h"
 #include "sim/simulator.h"
 #include "tls/ticket_store.h"
-#include "trace/trace.h"
 #include "transport/connection.h"
 #include "util/rng.h"
 
@@ -100,11 +100,13 @@ struct PoolConfig {
   // so a refused thundering herd does not re-arrive in lockstep.
   Duration refusal_backoff_base = msec(50);
   double refusal_backoff_jitter = 0.5;
-  // Per-connection trace wiring (obs::TraceAggregator). When set, every new
-  // connection records into a trace obtained from this factory, keyed by the
-  // origin domain and the protocol the pool picked.
-  std::function<std::shared_ptr<trace::ConnectionTrace>(const std::string& domain, HttpVersion)>
-      connection_trace_factory;
+  // Tracing (obs/trace_log.h). With a non-empty label, every new connection
+  // records into a track "<trace_label>/<domain>/<proto>#<n>" of the
+  // installed registry's TraceLog; past the log's cap it runs untraced and
+  // counts obs.traces_dropped. Fault/recovery events (FallbackTriggered,
+  // H3BrokenMarked, H3ReProbe) go to `trace_bus`, the run's pool track.
+  std::string trace_label;
+  obs::TraceHandle trace_bus;
   // Request-lifecycle resilience engine (docs/RESILIENCE.md). Null — the
   // default — reproduces the pre-resilience pool behaviour bit-for-bit.
   // Non-null and enabled() adds retry backoff with budgets, hedged requests,
@@ -167,10 +169,6 @@ class ConnectionPool {
   /// expired mark is cleared and counted as a re-probe).
   [[nodiscard]] bool h3_broken(const std::string& domain);
 
-  /// Attaches a trace sink for fault/recovery events (FallbackTriggered,
-  /// H3BrokenMarked, H3ReProbe). Pass nullptr to detach.
-  void set_trace(std::shared_ptr<trace::ConnectionTrace> trace) { trace_ = std::move(trace); }
-
  private:
   struct OriginState {
     std::optional<OriginInfo> info;
@@ -188,7 +186,7 @@ class ConnectionPool {
                        const std::shared_ptr<Session>& session, transport::ConnectionError error,
                        std::vector<Session::Orphan> orphans);
   void route_rescue(Session::Orphan orphan, HttpVersion preferred);
-  void record_fault(trace::EventType type, trace::FaultKind fault);
+  void record_fault(obs::TraceEventType type, obs::FaultKind fault);
   /// The resilience engine, or nullptr when absent or disabled.
   [[nodiscard]] resilience::Engine* engine() const;
   /// Wraps `done` with hedging (first-wins arbitration + p95-trigger timer)
@@ -208,7 +206,6 @@ class ConnectionPool {
   // Hosts whose H3 died: no H3 dials until the deadline passes (Alt-Svc
   // brokenness, Chrome behaviour).
   std::unordered_map<std::string, TimePoint> h3_broken_until_;
-  std::shared_ptr<trace::ConnectionTrace> trace_;
   PoolStats stats_;
   TimePoint created_at_{0};  // page start, for the resilience page budget
   // Liveness token for deferred work (backoff rescues, hedge timers): those

@@ -14,9 +14,9 @@ const obs::MetricId kLinkTransmit{"net.link.transmit"};
 const obs::MetricId kLinkPacketsOffered{"net.link.packets_offered"};
 const obs::MetricId kLinkBytesOffered{"net.link.bytes_offered"};
 const obs::MetricId kLinkPacketsDropped{"net.link.packets_dropped"};
-const obs::MetricId kLinkDroppedBernoulli{"net.link.dropped.bernoulli"};
-const obs::MetricId kLinkDroppedBurst{"net.link.dropped.burst"};
-const obs::MetricId kLinkDroppedOutage{"net.link.dropped.outage"};
+const obs::MetricId kLinkDropBernoulli{"net.link.dropped.bernoulli"};
+const obs::MetricId kLinkDropBurst{"net.link.dropped.burst"};
+const obs::MetricId kLinkDropOutage{"net.link.dropped.outage"};
 const obs::MetricId kLinkPacketsDelivered{"net.link.packets_delivered"};
 const obs::MetricId kLinkSerializationWaitMs{"net.link.serialization_wait_ms"};
 
@@ -26,16 +26,6 @@ double checked_loss_rate(double loss_rate) {
   H3CDN_EXPECTS(!std::isnan(loss_rate));
   H3CDN_EXPECTS(loss_rate >= -1e-6 && loss_rate <= 1.0 + 1e-6);
   return std::clamp(loss_rate, 0.0, 1.0);
-}
-
-trace::FaultKind fault_kind_of(DropReason reason) {
-  switch (reason) {
-    case DropReason::Bernoulli: return trace::FaultKind::Bernoulli;
-    case DropReason::Burst: return trace::FaultKind::Burst;
-    case DropReason::Outage: return trace::FaultKind::Outage;
-    case DropReason::None: break;
-  }
-  return trace::FaultKind::None;
 }
 
 }  // namespace
@@ -86,23 +76,17 @@ void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bo
     switch (reason) {
       case DropReason::Bernoulli:
         ++stats_.dropped_bernoulli;
-        obs::count(kLinkDroppedBernoulli);
+        obs::count(kLinkDropBernoulli);
         break;
       case DropReason::Burst:
         ++stats_.dropped_burst;
-        obs::count(kLinkDroppedBurst);
+        obs::count(kLinkDropBurst);
         break;
       case DropReason::Outage:
         ++stats_.dropped_outage;
-        obs::count(kLinkDroppedOutage);
+        obs::count(kLinkDropOutage);
         break;
       case DropReason::None: break;
-    }
-    if (trace_) {
-      trace::Event event{sim_.now(), trace::EventType::LinkDropped};
-      event.bytes = size_bytes;
-      event.fault = fault_kind_of(reason);
-      trace_->record(event);
     }
     return;
   }

@@ -13,7 +13,6 @@
 
 #include "net/fault.h"
 #include "sim/simulator.h"
-#include "trace/trace.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -76,17 +75,12 @@ class Link {
   /// outages/spikes mid-run.
   [[nodiscard]] FaultInjector* fault_injector() { return fault_.get(); }
 
-  /// Attaches a trace sink: every drop records a LinkDropped event tagged
-  /// with the responsible fault mechanism.
-  void set_trace(std::shared_ptr<trace::ConnectionTrace> trace) { trace_ = std::move(trace); }
-
  private:
   sim::Simulator& sim_;
   LinkConfig config_;
   util::Rng loss_rng_;
   util::Rng jitter_rng_;
   std::unique_ptr<FaultInjector> fault_;
-  std::shared_ptr<trace::ConnectionTrace> trace_;
   TimePoint next_free_{0};      // when the serializer becomes idle
   TimePoint last_arrival_{0};   // FIFO guarantee: deliveries never reorder
   LinkStats stats_;

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "util/json.h"
 
@@ -36,14 +37,25 @@ void MetricsRegistry::clear() {
   histogram_index_.clear();
   timeline_.clear();
   profiler_.clear();
+  traces_.clear();
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
+void MetricsRegistry::merge_series(const MetricsRegistry& other) {
   for (const auto& [name, c] : other.counters_) counter(name).merge_from(*c);
   for (const auto& [name, g] : other.gauges_) gauge(name).merge_from(*g);
   for (const auto& [name, h] : other.histograms_) histogram(name).merge_from(*h);
   timeline_.merge_from(other.timeline_);
   profiler_.merge_from(other.profiler_);
+}
+
+void MetricsRegistry::merge_from(const MetricsRegistry& other) {
+  merge_series(other);
+  traces_.merge_from(other.traces_);
+}
+
+void MetricsRegistry::merge_from(MetricsRegistry&& other) {
+  merge_series(other);
+  traces_.merge_from(std::move(other.traces_));
 }
 
 namespace {

@@ -40,6 +40,7 @@
 #include "obs/metric_id.h"
 #include "obs/profiler.h"
 #include "obs/timeline.h"
+#include "obs/trace_log.h"
 #include "util/types.h"
 
 namespace h3cdn::obs {
@@ -73,9 +74,9 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// One run's named metrics, its timeline and its phase profile. Metric
-/// objects are owned by the registry and their addresses are stable until
-/// clear(); lookups create on first use. Iteration order is the
+/// One run's named metrics, its timeline, its phase profile and its trace
+/// log. Metric objects are owned by the registry and their addresses are
+/// stable until clear(); lookups create on first use. Iteration order is the
 /// lexicographic name order (deterministic exports).
 class MetricsRegistry {
  public:
@@ -114,23 +115,28 @@ class MetricsRegistry {
   [[nodiscard]] const TimelineRecorder& timeline() const { return timeline_; }
   [[nodiscard]] PhaseProfiler& profiler() { return profiler_; }
   [[nodiscard]] const PhaseProfiler& profiler() const { return profiler_; }
+  [[nodiscard]] TraceLog& traces() { return traces_; }
+  [[nodiscard]] const TraceLog& traces() const { return traces_; }
 
   /// Number of distinct named series (counters + gauges + histograms).
   [[nodiscard]] std::size_t series_count() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  /// Empties the run totals, the timeline and the profile.
+  /// Empties the run totals, the timeline, the profile and the trace log.
   void clear();
 
   /// Folds `other` into this registry: counters and histogram buckets add,
   /// gauges take `other`'s value (last-writer in merge order), series missing
   /// here are created; the timelines merge bucket-wise
-  /// (TimelineRecorder::merge_from) and the profiles phase-wise. Merging
-  /// every shard in canonical shard order reproduces, series for series,
-  /// what one shared registry would have recorded sequentially (histogram
-  /// `sum` is reproducible per merge order; see Histogram::merge_from).
+  /// (TimelineRecorder::merge_from), the profiles phase-wise, and `other`'s
+  /// trace tracks are appended (TraceLog::merge_from; the rvalue form moves
+  /// them). Merging every shard in canonical shard order reproduces, series
+  /// for series, what one shared registry would have recorded sequentially
+  /// (histogram `sum` is reproducible per merge order; see
+  /// Histogram::merge_from).
   void merge_from(const MetricsRegistry& other);
+  void merge_from(MetricsRegistry&& other);
 
   /// The registry installed on the *current thread* that instrumentation
   /// hooks report into, or nullptr when observability is disabled (the
@@ -143,6 +149,9 @@ class MetricsRegistry {
   static MetricsRegistry* set_global(MetricsRegistry* registry);
 
  private:
+  /// merge_from without the trace log.
+  void merge_series(const MetricsRegistry& other);
+
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
@@ -150,6 +159,7 @@ class MetricsRegistry {
   MetricIndex<Histogram> histogram_index_;
   TimelineRecorder timeline_;
   PhaseProfiler profiler_;
+  TraceLog traces_;
 };
 
 namespace detail {

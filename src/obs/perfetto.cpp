@@ -1,5 +1,7 @@
 #include "obs/perfetto.h"
 
+#include <algorithm>
+
 #include "util/json.h"
 
 namespace h3cdn::obs {
@@ -74,40 +76,44 @@ void write_page(util::JsonWriter& w, const Waterfall& page, std::int64_t pid) {
   }
 }
 
-bool is_fault_bus_event(trace::EventType t) {
-  switch (t) {
-    case trace::EventType::ConnectionAborted:
-    case trace::EventType::FallbackTriggered:
-    case trace::EventType::H3BrokenMarked:
-    case trace::EventType::H3ReProbe:
-      return true;
-    default:
-      return false;
-  }
+bool is_fault_bus_event(TraceEventType t) {
+  return t == TraceEventType::ConnectionAborted || t == TraceEventType::FallbackTriggered ||
+         t == TraceEventType::H3BrokenMarked || t == TraceEventType::H3ReProbe;
 }
 
-void write_fault_track(util::JsonWriter& w, const TraceAggregator& traces) {
-  bool named = false;
-  for (const TraceAggregator::BusEvent& bus : traces.merged_events()) {
-    if (!is_fault_bus_event(bus.event.type)) continue;
-    if (!named) {
-      write_metadata(w, "process_name", 0, 0, "faults");
-      write_metadata(w, "thread_name", 0, 0, "fault bus");
-      named = true;
+struct FaultInstant {
+  const std::string* label;
+  const TraceEvent* event;
+};
+
+void write_fault_track(util::JsonWriter& w, const TraceLog& traces) {
+  // Select first, then order: ties at one instant keep track order, then
+  // record order, as a stable sort of the whole stream would.
+  std::vector<FaultInstant> faults;
+  for (const TraceTrack& track : traces.tracks()) {
+    for (const TraceEvent& e : track.events) {
+      if (is_fault_bus_event(e.type)) faults.push_back(FaultInstant{&track.label, &e});
     }
+  }
+  if (faults.empty()) return;
+  std::stable_sort(faults.begin(), faults.end(), [](const FaultInstant& a, const FaultInstant& b) {
+    return a.event->at < b.event->at;
+  });
+  write_metadata(w, "process_name", 0, 0, "faults");
+  write_metadata(w, "thread_name", 0, 0, "fault bus");
+  for (const FaultInstant& fault : faults) {
+    const TraceEvent& e = *fault.event;
     w.begin_object();
     w.kv("ph", "i");
-    w.kv("name", trace::to_string(bus.event.type));
+    w.kv("name", to_string(e.type));
     w.kv("cat", "fault");
     w.kv("s", "g");  // global-scope instant: draws a full-height marker
     w.kv("pid", 0);
     w.kv("tid", 0);
-    w.kv("ts", to_ms(bus.event.at - TimePoint{0}) * kUsPerMs);
+    w.kv("ts", to_ms(e.at - TimePoint{0}) * kUsPerMs);
     w.key("args").begin_object();
-    if (bus.label != nullptr) w.kv("trace", *bus.label);
-    if (bus.event.fault != trace::FaultKind::None) {
-      w.kv("fault_kind", trace::to_string(bus.event.fault));
-    }
+    w.kv("trace", *fault.label);
+    if (e.fault != FaultKind::None) w.kv("fault_kind", to_string(e.fault));
     w.end_object();
     w.end_object();
   }
@@ -116,7 +122,7 @@ void write_fault_track(util::JsonWriter& w, const TraceAggregator& traces) {
 }  // namespace
 
 std::string to_chrome_trace_json(const std::vector<Waterfall>& waterfalls,
-                                 const TraceAggregator* traces) {
+                                 const TraceLog* traces) {
   util::JsonWriter w;
   w.begin_object();
   w.kv("displayTimeUnit", "ms");

@@ -1,6 +1,7 @@
 #include "transport/connection.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -117,7 +118,7 @@ void Connection::connect(std::function<void(TimePoint)> on_ready) {
   stats_.connect_start = sim_.now();
   obs::count(kConnectionsOpened);
   obs::count(kind_ == tls::TransportKind::Quic ? kConnectionsOpenedQuic : kConnectionsOpenedTcp);
-  if (trace_) trace_->record({sim_.now(), trace::EventType::HandshakeStarted});
+  if (trace_) trace_.record({sim_.now(), obs::TraceEventType::HandshakeStarted});
 
   hs_total_steps_ = tls::handshake_rtts(kind_, version_, mode_);
   hs_steps_left_ = hs_total_steps_;
@@ -234,9 +235,9 @@ void Connection::start_handshake_attempt() {
     ++self->hs_retries_this_step_;
     obs::count(kHandshakeRetries);
     if (self->trace_) {
-      trace::Event ev{self->sim_.now(), trace::EventType::HandshakeRetry};
-      ev.fault = trace::FaultKind::HandshakeTimeout;
-      self->trace_->record(ev);
+      obs::TraceEvent ev{self->sim_.now(), obs::TraceEventType::HandshakeRetry};
+      ev.fault = obs::FaultKind::HandshakeTimeout;
+      self->trace_.record(ev);
     }
     self->start_handshake_attempt();
   });
@@ -262,7 +263,7 @@ void Connection::finish_handshake() {
   stats_.ready_at = sim_.now();
   stats_.connect_time = stats_.ready_at - stats_.connect_start;
   obs::observe_ms(kHandshakeDurationMs, stats_.connect_time);
-  if (trace_) trace_->record({sim_.now(), trace::EventType::HandshakeFinished});
+  if (trace_) trace_.record({sim_.now(), obs::TraceEventType::HandshakeFinished});
 
   // NewSessionTicket: servers (re)issue tickets on every connection; the
   // browser stores it keyed by domain for future visits.
@@ -278,16 +279,16 @@ void Connection::finish_handshake() {
   for (StreamId sid : pending_before_ready_) activate_request(sid);
   pending_before_ready_.clear();
 
-  if (on_ready_) on_ready_(sim_.now());
+  // Move out first: the callback may close this connection, and it captures
+  // the owner, which must not stay reachable from here once it has fired.
+  if (auto on_ready = std::exchange(on_ready_, nullptr)) on_ready(sim_.now());
 }
 
 void Connection::set_ticket_sink(std::function<void(tls::SessionTicket)> sink) {
   ticket_sink_ = std::move(sink);
 }
 
-void Connection::set_trace(std::shared_ptr<trace::ConnectionTrace> trace) {
-  trace_ = std::move(trace);
-}
+void Connection::set_trace(obs::TraceHandle trace) { trace_ = trace; }
 
 // ---------------------------------------------------------------------------
 // Fetch / stream management
@@ -317,10 +318,10 @@ StreamId Connection::fetch(std::size_t request_bytes, std::size_t response_bytes
   ++active_stream_count_;
   obs::count(kStreamsOpened);
   if (trace_) {
-    trace::Event ev{sim_.now(), trace::EventType::StreamOpened};
+    obs::TraceEvent ev{sim_.now(), obs::TraceEventType::StreamOpened};
     ev.stream_id = sid;
     ev.bytes = response_bytes;
-    trace_->record(ev);
+    trace_.record(ev);
   }
 
   if (ready_) {
@@ -432,7 +433,7 @@ std::optional<Connection::Chunk> Connection::next_chunk(Dir d) {
     if (sent < size) bucket.push_back(sid);
     if (d == Dir::Up && sent >= size && !st.request_sent_reported) {
       st.request_sent_reported = true;
-      if (st.cb.on_request_sent) st.cb.on_request_sent(sim_.now());
+      if (auto cb = std::exchange(st.cb.on_request_sent, nullptr)) cb(sim_.now());
     }
     return c;
     }
@@ -457,13 +458,13 @@ void Connection::send_chunk(Dir d, const Chunk& chunk, bool is_retx) {
     obs::count(kRetransmissions);
   }
   if (trace_) {
-    trace::Event ev{sim_.now(),
-                    is_retx ? trace::EventType::Retransmission : trace::EventType::PacketSent};
+    obs::TraceEvent ev{sim_.now(), is_retx ? obs::TraceEventType::Retransmission
+                                           : obs::TraceEventType::PacketSent};
     ev.packet_number = num;
     ev.stream_id = chunk.stream;
     ev.bytes = chunk.len;
     ev.is_client_to_server = d == Dir::Up;
-    trace_->record(ev);
+    trace_.record(ev);
   }
 
   auto self = shared_from_this();
@@ -523,12 +524,12 @@ void Connection::on_packet_arrive(Dir d, std::uint64_t packet_num, Chunk chunk) 
   auto& s = dir(d);
   ++stats_.packets_delivered;
   if (trace_) {
-    trace::Event ev{sim_.now(), trace::EventType::PacketReceived};
+    obs::TraceEvent ev{sim_.now(), obs::TraceEventType::PacketReceived};
     ev.packet_number = packet_num;
     ev.stream_id = chunk.stream;
     ev.bytes = chunk.len;
     ev.is_client_to_server = d == Dir::Up;
-    trace_->record(ev);
+    trace_.record(ev);
   }
 
   if (kind_ == tls::TransportKind::Tcp) {
@@ -652,13 +653,13 @@ void Connection::close_resp_stall(StreamId sid, bool cross_stream) {
   ++stats_.stall_spans;
   obs::count(kStallSpans);
   if (trace_) {
-    trace::Event ev{sim_.now(), trace::EventType::StreamStallSpan};
+    obs::TraceEvent ev{sim_.now(), obs::TraceEventType::StreamStallSpan};
     ev.stream_id = sid;
     ev.bytes = blocked_bytes;
     ev.duration_ms = to_ms(span);
     ev.cross_stream = cross_stream;
     ev.is_client_to_server = false;
-    trace_->record(ev);
+    trace_.record(ev);
   }
 }
 
@@ -673,10 +674,10 @@ void Connection::close_fc_stall(Dir d) {
   obs::count(kStallFlowControl);
   obs::observe_ms(kStallFlowControlMs, span);
   if (trace_) {
-    trace::Event ev{sim_.now(), trace::EventType::FlowControlStallSpan};
+    obs::TraceEvent ev{sim_.now(), obs::TraceEventType::FlowControlStallSpan};
     ev.duration_ms = to_ms(span);
     ev.is_client_to_server = d == Dir::Up;
-    trace_->record(ev);
+    trace_.record(ev);
   }
 }
 
@@ -811,7 +812,7 @@ void Connection::credit_stream(Dir d, StreamId sid, std::size_t /*offset*/, std:
   } else {
     if (!st.first_byte_reported) {
       st.first_byte_reported = true;
-      if (st.cb.on_first_byte) st.cb.on_first_byte(sim_.now());
+      if (auto cb = std::exchange(st.cb.on_first_byte, nullptr)) cb(sim_.now());
     }
     st.resp_delivered += len;
     H3CDN_ASSERT(st.resp_delivered <= st.resp_size);
@@ -832,12 +833,12 @@ void Connection::credit_stream(Dir d, StreamId sid, std::size_t /*offset*/, std:
       H3CDN_ASSERT(active_stream_count_ > 0);
       --active_stream_count_;
       if (trace_) {
-        trace::Event ev{sim_.now(), trace::EventType::StreamFinished};
+        obs::TraceEvent ev{sim_.now(), obs::TraceEventType::StreamFinished};
         ev.stream_id = sid;
         ev.bytes = st.resp_size;
-        trace_->record(ev);
+        trace_.record(ev);
       }
-      if (st.cb.on_complete) st.cb.on_complete(sim_.now());
+      if (auto cb = std::exchange(st.cb.on_complete, nullptr)) cb(sim_.now());
     }
   }
 }
@@ -859,19 +860,19 @@ void Connection::on_ack(Dir d, std::uint64_t packet_num) {
     }
     s.cc.on_ack(sim_.now());
     if (trace_) {
-      trace::Event ev{sim_.now(), trace::EventType::PacketAcked};
+      obs::TraceEvent ev{sim_.now(), obs::TraceEventType::PacketAcked};
       ev.packet_number = packet_num;
       ev.stream_id = it->second.chunk.stream;
       ev.is_client_to_server = d == Dir::Up;
-      trace_->record(ev);
+      trace_.record(ev);
       const std::size_t cwnd = s.cc.cwnd();
       auto& last = last_traced_cwnd_[static_cast<std::size_t>(d)];
       if (cwnd != last) {
         last = cwnd;
-        trace::Event cw{sim_.now(), trace::EventType::CwndUpdated};
+        obs::TraceEvent cw{sim_.now(), obs::TraceEventType::CwndUpdated};
         cw.cwnd = static_cast<double>(cwnd);
         cw.is_client_to_server = d == Dir::Up;
-        trace_->record(cw);
+        trace_.record(cw);
       }
     }
     s.in_flight.erase(it);
@@ -918,12 +919,12 @@ void Connection::declare_lost(Dir d, std::uint64_t packet_num, bool from_rto) {
   ++stats_.packets_declared_lost;
   obs::count(kPacketsLost);
   if (trace_) {
-    trace::Event ev{sim_.now(), trace::EventType::PacketLost};
+    obs::TraceEvent ev{sim_.now(), obs::TraceEventType::PacketLost};
     ev.packet_number = packet_num;
     ev.stream_id = pkt.chunk.stream;
     ev.bytes = pkt.chunk.len;
     ev.is_client_to_server = d == Dir::Up;
-    trace_->record(ev);
+    trace_.record(ev);
   }
 
   if (from_rto) {
@@ -959,9 +960,9 @@ void Connection::handle_rto(Dir d) {
   ++stats_.rto_fires;
   obs::count(kRtoFires);
   if (trace_) {
-    trace::Event ev{sim_.now(), trace::EventType::RtoFired};
+    obs::TraceEvent ev{sim_.now(), obs::TraceEventType::RtoFired};
     ev.is_client_to_server = d == Dir::Up;
-    trace_->record(ev);
+    trace_.record(ev);
   }
   // Blackhole detection: RTO fires with not a single ACK in between mean the
   // path is eating everything (the RTO backoff doubles between fires, so this
@@ -993,12 +994,12 @@ void Connection::die(ConnectionError error) {
              : error == ConnectionError::Killed         ? kDeathsKilled
                                                         : kDeathsBlackhole);
   if (trace_) {
-    trace::Event ev{sim_.now(), trace::EventType::ConnectionAborted};
-    ev.fault = error == ConnectionError::HandshakeTimeout ? trace::FaultKind::HandshakeTimeout
-               : error == ConnectionError::Refused        ? trace::FaultKind::Refused
-               : error == ConnectionError::Killed         ? trace::FaultKind::Outage
-                                                          : trace::FaultKind::Blackhole;
-    trace_->record(ev);
+    obs::TraceEvent ev{sim_.now(), obs::TraceEventType::ConnectionAborted};
+    ev.fault = error == ConnectionError::HandshakeTimeout ? obs::FaultKind::HandshakeTimeout
+               : error == ConnectionError::Refused        ? obs::FaultKind::Refused
+               : error == ConnectionError::Killed         ? obs::FaultKind::Outage
+                                                          : obs::FaultKind::Blackhole;
+    trace_.record(ev);
   }
   close();
   if (on_dead_) {
@@ -1027,6 +1028,10 @@ void Connection::close() {
   if (hs_timer_ != 0) sim_.cancel(hs_timer_);
   hs_timer_ = 0;
   ++hs_generation_;
+  // The owner's callbacks capture the owner, which holds this connection:
+  // keeping them past close would keep both alive forever.
+  on_ready_ = nullptr;
+  for (auto& [sid, st] : streams_) st.cb = {};
 }
 
 }  // namespace h3cdn::transport

@@ -28,10 +28,10 @@
 #include <vector>
 
 #include "net/path.h"
+#include "obs/trace_log.h"
 #include "sim/simulator.h"
 #include "tls/handshake.h"
 #include "tls/ticket_store.h"
-#include "trace/trace.h"
 #include "transport/congestion.h"
 #include "transport/rtt_estimator.h"
 #include "transport/server_hold.h"
@@ -217,9 +217,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// handshake completes (wired to the browser's SessionTicketStore).
   void set_ticket_sink(std::function<void(tls::SessionTicket)> sink);
 
-  /// Attaches a qlog-style event trace (see trace/trace.h). Pass nullptr to
-  /// detach. No-cost when unset.
-  void set_trace(std::shared_ptr<trace::ConnectionTrace> trace);
+  /// Records qlog-style events into `trace`, one track of an obs::TraceLog
+  /// (obs/trace_log.h). A null handle, the default, records nothing.
+  void set_trace(obs::TraceHandle trace);
 
   /// Installs the death notification: fires at most once, after the
   /// connection has closed itself on a terminal error (handshake retries
@@ -410,7 +410,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::function<void(TimePoint)> on_ready_;
   std::function<void(ConnectionError, TimePoint)> on_dead_;
   std::function<void(tls::SessionTicket)> ticket_sink_;
-  std::shared_ptr<trace::ConnectionTrace> trace_;
+  obs::TraceHandle trace_;
   std::array<std::size_t, 2> last_traced_cwnd_{0, 0};
   std::uint64_t hs_generation_ = 0;
   int hs_steps_left_ = 0;

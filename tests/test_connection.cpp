@@ -376,6 +376,49 @@ TEST(ConnectionKill, ShortResponsesBelowTheOffsetSurvive) {
   conn->close();
 }
 
+TEST(ConnectionLifetime, CallbacksCapturingTheOwnerDoNotKeepTheConnectionAlive) {
+  // The owner holds the connection and its callbacks hold the owner (as
+  // http::Session does). Once the stream completes, the connection closes
+  // and the owner is dropped, nothing may keep the connection reachable.
+  struct Owner {
+    std::shared_ptr<Connection> conn;
+    bool done = false;
+  };
+  Fixture f;
+  auto owner = std::make_shared<Owner>();
+  owner->conn = f.make(TransportKind::Quic);
+  const std::weak_ptr<Connection> weak = owner->conn;
+  owner->conn->connect([owner](TimePoint) {});
+  FetchCallbacks cbs;
+  cbs.on_request_sent = [owner](TimePoint) {};
+  cbs.on_first_byte = [owner](TimePoint) {};
+  cbs.on_complete = [owner](TimePoint) { owner->done = true; };
+  owner->conn->fetch(500, 20'000, msec(2), std::move(cbs));
+  f.sim.run();
+  ASSERT_TRUE(owner->done);
+  owner->conn->close();
+  owner.reset();
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST(ConnectionLifetime, CloseDropsTheCallbacksOfUnfinishedStreams) {
+  struct Owner {
+    std::shared_ptr<Connection> conn;
+  };
+  Fixture f;
+  auto owner = std::make_shared<Owner>();
+  owner->conn = f.make(TransportKind::Tcp);
+  const std::weak_ptr<Connection> weak = owner->conn;
+  owner->conn->connect([owner](TimePoint) {});
+  FetchCallbacks cbs;
+  cbs.on_complete = [owner](TimePoint) {};
+  owner->conn->fetch(500, 20'000, msec(2), std::move(cbs));
+  owner->conn->close();  // before the handshake: nothing has fired yet
+  f.sim.run();
+  owner.reset();
+  EXPECT_TRUE(weak.expired());
+}
+
 TEST(ConnectionDeath, DoubleConnectAborts) {
   Fixture f;
   auto conn = f.make(TransportKind::Tcp);

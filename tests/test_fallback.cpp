@@ -14,6 +14,7 @@
 #include "http/pool.h"
 #include "net/fault.h"
 #include "net/path.h"
+#include "obs/trace_log.h"
 #include "sim/simulator.h"
 #include "transport/connection.h"
 #include "web/workload.h"
@@ -36,10 +37,10 @@ TEST(ConnectionDeath2, HandshakeRetryExhaustionKillsTheConnection) {
   config.domain = "dead.example";
   config.handshake_timeout = msec(100);
   config.max_handshake_retries = 3;
-  auto trace = std::make_shared<trace::ConnectionTrace>();
+  obs::TraceLog log;
   auto conn = transport::Connection::create(sim, path, TransportKind::Quic, TlsVersion::Tls13,
                                             HandshakeMode::Fresh, util::Rng(7), config);
-  conn->set_trace(trace);
+  conn->set_trace(log.open("dead.example"));
   bool ready = false;
   transport::ConnectionError death = transport::ConnectionError::None;
   TimePoint died_at{-1};
@@ -61,14 +62,14 @@ TEST(ConnectionDeath2, HandshakeRetryExhaustionKillsTheConnection) {
 
   int retry_events = 0;
   int abort_events = 0;
-  for (const auto& e : trace->events()) {
-    if (e.type == trace::EventType::HandshakeRetry) {
+  for (const auto& e : log.tracks().front().events) {
+    if (e.type == obs::TraceEventType::HandshakeRetry) {
       ++retry_events;
-      EXPECT_EQ(e.fault, trace::FaultKind::HandshakeTimeout);
+      EXPECT_EQ(e.fault, obs::FaultKind::HandshakeTimeout);
     }
-    if (e.type == trace::EventType::ConnectionAborted) {
+    if (e.type == obs::TraceEventType::ConnectionAborted) {
       ++abort_events;
-      EXPECT_EQ(e.fault, trace::FaultKind::HandshakeTimeout);
+      EXPECT_EQ(e.fault, obs::FaultKind::HandshakeTimeout);
     }
   }
   EXPECT_EQ(retry_events, 3);
@@ -216,11 +217,11 @@ TEST(PoolFallback, MidTransferUdpBlackholeRescuesEveryRequestOverH2) {
   f.paths["cdn.example"]->add_outage(
       net::Outage{msec(40), sec(600), net::OutageKind::UdpBlackhole});
 
+  obs::TraceLog log;
   http::PoolConfig config;
   config.h3_enabled = true;
+  config.trace_bus = log.open("run/pool");
   http::ConnectionPool pool(f.sim, config, f.resolver(), nullptr, util::Rng(77));
-  auto trace = std::make_shared<trace::ConnectionTrace>();
-  pool.set_trace(trace);
 
   const int n = 6;
   std::vector<EntryTimings> done;
@@ -248,9 +249,9 @@ TEST(PoolFallback, MidTransferUdpBlackholeRescuesEveryRequestOverH2) {
 
   int fallback_events = 0;
   int broken_events = 0;
-  for (const auto& e : trace->events()) {
-    if (e.type == trace::EventType::FallbackTriggered) ++fallback_events;
-    if (e.type == trace::EventType::H3BrokenMarked) ++broken_events;
+  for (const auto& e : log.tracks().front().events) {
+    if (e.type == obs::TraceEventType::FallbackTriggered) ++fallback_events;
+    if (e.type == obs::TraceEventType::H3BrokenMarked) ++broken_events;
   }
   EXPECT_EQ(fallback_events, n);
   EXPECT_EQ(broken_events, 1);
@@ -304,9 +305,9 @@ TEST(PoolFallback, BrokenMarkExpiryTriggersH3ReProbe) {
   config.h3_broken_ttl = msec(500);
   config.transport.handshake_timeout = msec(50);
   config.transport.max_handshake_retries = 2;  // dead at 50+100+200 = 350 ms
+  obs::TraceLog log;
+  config.trace_bus = log.open("run/pool");
   http::ConnectionPool pool(f.sim, config, f.resolver(), nullptr, util::Rng(77));
-  auto trace = std::make_shared<trace::ConnectionTrace>();
-  pool.set_trace(trace);
 
   EntryTimings first;
   pool.fetch(f.request("cdn.example", 5'000), [&](const EntryTimings& t) { first = t; });
@@ -326,8 +327,8 @@ TEST(PoolFallback, BrokenMarkExpiryTriggersH3ReProbe) {
   EXPECT_EQ(pool.stats().h3_connections, 2u);
   EXPECT_FALSE(pool.h3_broken("cdn.example"));
   int reprobe_events = 0;
-  for (const auto& e : trace->events()) {
-    if (e.type == trace::EventType::H3ReProbe) ++reprobe_events;
+  for (const auto& e : log.tracks().front().events) {
+    if (e.type == obs::TraceEventType::H3ReProbe) ++reprobe_events;
   }
   EXPECT_EQ(reprobe_events, 1);
 }

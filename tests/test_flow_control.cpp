@@ -165,8 +165,8 @@ TEST(FlowControl, ConnectionStallSpansRecordedWithMetricAndTrace) {
   config.initial_connection_window = 32 * 1024;  // aggregate starves first
   auto conn = Connection::create(sim, path, TransportKind::Quic, TlsVersion::Tls13,
                                  HandshakeMode::Fresh, util::Rng(4), config);
-  auto trace = std::make_shared<trace::ConnectionTrace>();
-  conn->set_trace(trace);
+  obs::TraceLog log;
+  conn->set_trace(log.open("conn"));
   conn->connect([](TimePoint) {});
   int done = 0;
   for (int i = 0; i < 8; ++i) {
@@ -181,10 +181,11 @@ TEST(FlowControl, ConnectionStallSpansRecordedWithMetricAndTrace) {
   EXPECT_GT(stats.flow_control_stall_total, Duration::zero());
   EXPECT_EQ(registry.counter("transport.stall.flow_control").value(),
             stats.flow_control_stalls);
-  EXPECT_GT(trace->count(trace::EventType::FlowControlStallSpan), 0u);
+  const obs::TraceTrack& track = log.tracks().front();
+  EXPECT_GT(track.count(obs::TraceEventType::FlowControlStallSpan), 0u);
   double span_ms = 0.0;
-  for (const auto& ev : trace->events()) {
-    if (ev.type == trace::EventType::FlowControlStallSpan) span_ms += ev.duration_ms;
+  for (const auto& ev : track.events) {
+    if (ev.type == obs::TraceEventType::FlowControlStallSpan) span_ms += ev.duration_ms;
   }
   EXPECT_NEAR(span_ms, to_ms(stats.flow_control_stall_total), 0.01);
 }

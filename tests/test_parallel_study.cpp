@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -76,7 +77,7 @@ TEST(ParallelStudy, ObservabilityArtifactsAreIdenticalAcrossJobCounts) {
   // and waterfalls must not depend on thread scheduling. profile.json is
   // host wall-clock and is deliberately out of the contract.
   EXPECT_EQ(obs::metrics_to_json(obs_one.metrics()), obs::metrics_to_json(obs_four.metrics()));
-  EXPECT_EQ(obs_one.traces().to_qlog_json(), obs_four.traces().to_qlog_json());
+  EXPECT_EQ(obs::to_qlog_json(obs_one.traces()), obs::to_qlog_json(obs_four.traces()));
   EXPECT_EQ(obs::waterfalls_to_json(obs_one.waterfalls()),
             obs::waterfalls_to_json(obs_four.waterfalls()));
   // The critical-path attribution is derived from the waterfalls, so it must
@@ -130,6 +131,63 @@ TEST(ParallelStudy, DissectionIsIdenticalAcrossJobCounts) {
   for (std::size_t i = groups.size() - d_one.by_provider.size() + 1; i < groups.size(); ++i) {
     EXPECT_LT(groups[i - 1], groups[i]) << "provider rows not in canonical sorted order";
   }
+}
+
+TEST(ParallelStudy, TraceTracksAreLabelledPerRunAndMergedInShardOrder) {
+  RunObservability obs;
+  StudyConfig cfg = parallel_config(4);
+  cfg.observability = &obs;
+  const auto result = MeasurementStudy(cfg).run();
+  // Each of the 12 runs opens its pool track first, then its connection
+  // tracks "<vantage>/p<probe>/<h2|h3>/<domain>/<proto>#<n>" numbered from 1;
+  // shards merge in canonical (vantage, probe, mode) order.
+  std::vector<std::string> runs;
+  std::vector<std::size_t> traced;  // connection tracks per run
+  std::size_t next = 0;
+  const std::string pool_suffix = "/pool";
+  for (const obs::TraceTrack& t : obs.traces().tracks()) {
+    if (t.label.size() > pool_suffix.size() &&
+        t.label.compare(t.label.size() - pool_suffix.size(), pool_suffix.size(), pool_suffix) ==
+            0) {
+      runs.push_back(t.label.substr(0, t.label.size() - pool_suffix.size()));
+      traced.push_back(0);
+      next = 1;
+      continue;
+    }
+    ASSERT_FALSE(runs.empty()) << "connection track before any pool track: " << t.label;
+    EXPECT_EQ(t.label.rfind(runs.back() + "/", 0), 0u) << t.label;
+    const std::string number = "#" + std::to_string(next++);
+    EXPECT_EQ(t.label.substr(t.label.size() - number.size()), number) << t.label;
+    EXPECT_FALSE(t.events.empty()) << t.label;
+    ++traced.back();
+  }
+  std::vector<std::string> expected;
+  std::vector<std::uint64_t> connections;  // per run, in the same order
+  for (const auto& v : browser::default_vantage_points()) {
+    for (int probe = 0; probe < 2; ++probe) {
+      for (const bool h3 : {false, true}) {
+        expected.push_back(v.name + "/p" + std::to_string(probe) + (h3 ? "/h3" : "/h2"));
+        std::uint64_t n = 0;
+        for (const auto& rec : result.visits) {
+          if (rec.vantage == v.name && rec.probe == probe && rec.h3_enabled == h3) {
+            n += rec.har.connections_created;
+          }
+        }
+        connections.push_back(n);
+      }
+    }
+  }
+  ASSERT_EQ(runs, expected);
+  // 12 shards split the 256-track cap: 22 each. Every connection past a
+  // run's share runs untraced and is counted in obs.traces_dropped.
+  const std::size_t share = (obs::TraceLog::kMaxConnectionTracks + 11) / 12;
+  std::uint64_t refused = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(traced[i], std::min<std::uint64_t>(connections[i], share)) << runs[i];
+    refused += connections[i] - traced[i];
+  }
+  EXPECT_GT(refused, 0u);  // the cap binds in this configuration
+  EXPECT_EQ(obs.metrics().counter("obs.traces_dropped").value(), refused);
 }
 
 TEST(ParallelStudy, MergedMetricsCoverEveryShard) {

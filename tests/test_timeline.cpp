@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "obs/fault_window.h"
 #include "obs/perfetto.h"
 #include "obs/slo.h"
+#include "obs/trace_log.h"
 #include "util/json_parse.h"
 
 namespace h3cdn::obs {
@@ -407,6 +409,72 @@ TEST(Perfetto, ChromeTraceExportCarriesPagesAndSpans) {
   }
   EXPECT_TRUE(saw_page_span);
   EXPECT_TRUE(saw_entry_span);
+}
+
+TEST(Perfetto, FaultTrackOrdersInstantsAcrossTracks) {
+  // Fault events on two tracks, three of them at one instant, mixed with
+  // packet events and a handshake retry that carries a fault kind but is no
+  // fault-bus event. The fault track keeps the four fault-bus types, orders
+  // them by time, and breaks ties by track order, then record order.
+  TraceLog log;
+  const TraceHandle bus = log.open("run/pool");
+  const TraceHandle conn = log.open_connection("run/cdn.example/h3");
+  const auto event = [](double ms, TraceEventType type, FaultKind fault = FaultKind::None) {
+    TraceEvent e{at_ms(ms), type};
+    e.fault = fault;
+    return e;
+  };
+  conn.record(event(1, TraceEventType::PacketSent));
+  conn.record(event(5, TraceEventType::HandshakeRetry, FaultKind::HandshakeTimeout));
+  conn.record(event(10, TraceEventType::ConnectionAborted, FaultKind::Blackhole));
+  conn.record(event(10, TraceEventType::PacketLost));
+  conn.record(event(20, TraceEventType::PacketAcked));
+  bus.record(event(10, TraceEventType::FallbackTriggered, FaultKind::Blackhole));
+  bus.record(event(10, TraceEventType::H3BrokenMarked, FaultKind::Blackhole));
+  bus.record(event(30, TraceEventType::H3ReProbe));
+
+  const std::string trace = to_chrome_trace_json({}, &log);
+  const auto doc = util::parse_json(trace);
+  ASSERT_TRUE(doc.has_value()) << trace;
+  struct Instant {
+    std::string name;
+    std::string label;
+    double ts;
+    std::string fault_kind;
+  };
+  std::vector<Instant> instants;
+  int fault_processes = 0;
+  for (const auto& ev : doc->find("traceEvents")->as_array()) {
+    if (ev.string_or("ph", "") == "M" && ev.find("args")->string_or("name", "") == "faults") {
+      ++fault_processes;
+    }
+    if (ev.string_or("ph", "") != "i") continue;
+    EXPECT_EQ(ev.number_or("pid", -1), 0.0);
+    const util::JsonValue* args = ev.find("args");
+    instants.push_back(Instant{ev.string_or("name", ""), args->string_or("trace", ""),
+                               ev.number_or("ts", -1), args->string_or("fault_kind", "")});
+  }
+  EXPECT_EQ(fault_processes, 1);
+  ASSERT_EQ(instants.size(), 4u);
+  EXPECT_EQ(instants[0].name, "fallback_triggered");
+  EXPECT_EQ(instants[0].label, "run/pool");
+  EXPECT_EQ(instants[1].name, "h3_broken_marked");
+  EXPECT_EQ(instants[1].label, "run/pool");
+  EXPECT_EQ(instants[2].name, "connection_aborted");
+  EXPECT_EQ(instants[2].label, "run/cdn.example/h3#1");
+  EXPECT_EQ(instants[3].name, "h3_reprobe");
+  EXPECT_EQ(instants[3].label, "run/pool");
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(instants[i].ts, 10000.0);  // microseconds
+    EXPECT_EQ(instants[i].fault_kind, "blackhole");
+  }
+  EXPECT_EQ(instants[3].ts, 30000.0);
+  EXPECT_EQ(instants[3].fault_kind, "");  // FaultKind::None writes no kind
+
+  // Without fault events the track and its metadata are absent.
+  TraceLog quiet;
+  quiet.open_connection("run/x/h2").record(event(1, TraceEventType::PacketSent));
+  EXPECT_EQ(to_chrome_trace_json({}, &quiet), to_chrome_trace_json({}, nullptr));
 }
 
 }  // namespace
