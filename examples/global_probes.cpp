@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
 
     std::vector<double> h2, h3, red;
     for (const auto& p : result.pairs()) {
-      h2.push_back(to_ms(p.h2->page_load_time));
-      h3.push_back(to_ms(p.h3->page_load_time));
-      red.push_back(to_ms(p.h2->page_load_time) - to_ms(p.h3->page_load_time));
+      h2.push_back(to_ms(p.h2->har.page_load_time));
+      h3.push_back(to_ms(p.h3->har.page_load_time));
+      red.push_back(to_ms(p.h2->har.page_load_time) - to_ms(p.h3->har.page_load_time));
     }
     std::printf("%-12s %10.2f %11.0f ms %11.0f ms %13.1f ms\n", vantage.name.c_str(),
                 vantage.rtt_scale, util::mean(h2), util::mean(h3), util::mean(red));

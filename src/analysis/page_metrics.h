@@ -3,6 +3,7 @@
 // analysis never reads workload ground truth.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -50,24 +51,19 @@ struct PageMetrics {
     for (auto id : cdn::ProviderRegistry::fig8_providers()) n += provider_counts.count(id);
     return n;
   }
+
+  /// The provider serving the most CDN entries (the first in id order on a
+  /// tie), or "none" when the page has no CDN entry.
+  [[nodiscard]] std::string dominant_provider() const {
+    const auto best = std::max_element(
+        provider_counts.begin(), provider_counts.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    return best == provider_counts.end() ? "none" : cdn::to_string(best->first);
+  }
 };
 
 PageMetrics compute_page_metrics(const browser::HarPage& page,
                                  const locedge::Classifier& classifier);
-
-/// A paired H2-mode / H3-mode observation of the same page from the same
-/// probe; the unit of every X_reduction statistic (§III-C).
-struct PagePair {
-  PageMetrics h2;
-  PageMetrics h3;
-
-  [[nodiscard]] double plt_reduction_ms() const { return h2.plt_ms - h3.plt_ms; }
-  /// Fig. 7b's metric: reused connections with H2 minus with H3.
-  [[nodiscard]] double reused_connection_diff() const {
-    return static_cast<double>(h2.reused_connections) -
-           static_cast<double>(h3.reused_connections);
-  }
-};
 
 /// Per-entry phase reductions (connection/wait/receive), matching entries of
 /// the two archives by resource id — the basis of Fig. 6b.

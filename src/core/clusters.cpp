@@ -13,11 +13,6 @@ namespace h3cdn::core {
 
 namespace {
 
-const locedge::Classifier& classifier() {
-  static const locedge::Classifier instance;
-  return instance;
-}
-
 std::vector<std::string> phase_names() {
   std::vector<std::string> names;
   names.reserve(obs::kPhaseCount);
@@ -129,12 +124,12 @@ ClustersResult compute_clusters(const StudyResult& study, const ClustersConfig& 
   std::vector<std::vector<double>> phase_rows;
   for (const auto& p : pairs) {
     const std::string label = p.vantage + "/p" + std::to_string(p.probe);
-    const auto h2 = obs::analyze_critical_path(browser::make_waterfall(*p.h2, label + "/h2"));
-    const auto h3 = obs::analyze_critical_path(browser::make_waterfall(*p.h3, label + "/h3"));
+    const auto h2 = obs::analyze_critical_path(browser::make_waterfall(p.h2->har, label + "/h2"));
+    const auto h3 = obs::analyze_critical_path(browser::make_waterfall(p.h3->har, label + "/h3"));
 
     ClusterPage page;
     page.site_index = p.site_index;
-    page.site = p.h2->site;
+    page.site = p.h2->har.site;
     page.vantage = p.vantage;
     page.probe = p.probe;
     page.h2_plt_ms = h2.plt_ms;
@@ -144,17 +139,7 @@ ClustersResult compute_clusters(const StudyResult& study, const ClustersConfig& 
     page.h2_si_ms = h2.qoe.speed_index_ms;
     page.h3_si_ms = h3.qoe.speed_index_ms;
 
-    // Dominant provider, as in the dissection's per-provider grouping.
-    const auto m = analysis::compute_page_metrics(*p.h3, classifier());
-    cdn::ProviderId dominant = cdn::ProviderId::Other;
-    std::size_t best = 0;
-    for (const auto& [provider, count] : m.provider_counts) {
-      if (count > best) {
-        best = count;
-        dominant = provider;
-      }
-    }
-    page.provider = best > 0 ? cdn::to_string(dominant) : "none";
+    page.provider = p.h3->metrics.dominant_provider();
 
     // The combined H2+H3 critical-path time per phase; normalized below so
     // the clustered shape is scale-free.

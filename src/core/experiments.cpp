@@ -14,54 +14,26 @@
 
 namespace h3cdn::core {
 
-namespace {
-
-const locedge::Classifier& classifier() {
-  static const locedge::Classifier instance;
-  return instance;
-}
-
-/// Metrics for every pair, not yet aggregated by site.
-struct PairMetrics {
-  VisitPair pair;
-  analysis::PageMetrics h2;
-  analysis::PageMetrics h3;
-};
-
-std::vector<PairMetrics> all_pair_metrics(const StudyResult& study) {
-  std::vector<PairMetrics> out;
-  for (const auto& p : study.pairs()) {
-    PairMetrics pm;
-    pm.pair = p;
-    pm.h2 = analysis::compute_page_metrics(*p.h2, classifier());
-    pm.h3 = analysis::compute_page_metrics(*p.h3, classifier());
-    out.push_back(std::move(pm));
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<SitePairMetrics> site_pair_metrics(const StudyResult& study) {
-  std::map<std::size_t, std::vector<PairMetrics>> by_site;
-  for (auto& pm : all_pair_metrics(study)) by_site[pm.pair.site_index].push_back(std::move(pm));
-
+  // pairs() is ordered by site, so each site's pairs are one run.
+  const auto pairs = study.pairs();
   std::vector<SitePairMetrics> out;
-  out.reserve(by_site.size());
-  for (auto& [site, pms] : by_site) {
+  for (std::size_t begin = 0, end = 0; begin < pairs.size(); begin = end) {
     SitePairMetrics s;
-    s.site_index = site;
-    const double n = static_cast<double>(pms.size());
-    for (const auto& pm : pms) {
-      s.plt_reduction_ms += pm.h2.plt_ms - pm.h3.plt_ms;
-      s.h3_cdn_resources += static_cast<double>(pm.h3.h3_cdn_entries);
-      s.cdn_resources += static_cast<double>(pm.h3.cdn_entries);
-      s.reused_h2 += static_cast<double>(pm.h2.reused_connections);
-      s.reused_h3 += static_cast<double>(pm.h3.reused_connections);
-      s.providers += static_cast<double>(pm.h3.giant_provider_count());
-      s.resumed_connections += static_cast<double>(pm.h3.resumed_connections);
-      s.cdn_domains.insert(pm.h3.cdn_domains.begin(), pm.h3.cdn_domains.end());
+    s.site_index = pairs[begin].site_index;
+    for (end = begin; end < pairs.size() && pairs[end].site_index == s.site_index; ++end) {
+      const analysis::PageMetrics& h2 = pairs[end].h2->metrics;
+      const analysis::PageMetrics& h3 = pairs[end].h3->metrics;
+      s.plt_reduction_ms += h2.plt_ms - h3.plt_ms;
+      s.h3_cdn_resources += static_cast<double>(h3.h3_cdn_entries);
+      s.cdn_resources += static_cast<double>(h3.cdn_entries);
+      s.reused_h2 += static_cast<double>(h2.reused_connections);
+      s.reused_h3 += static_cast<double>(h3.reused_connections);
+      s.providers += static_cast<double>(h3.giant_provider_count());
+      s.resumed_connections += static_cast<double>(h3.resumed_connections);
+      s.cdn_domains.insert(h3.cdn_domains.begin(), h3.cdn_domains.end());
     }
+    const double n = static_cast<double>(end - begin);
     s.plt_reduction_ms /= n;
     s.h3_cdn_resources /= n;
     s.cdn_resources /= n;
@@ -73,6 +45,24 @@ std::vector<SitePairMetrics> site_pair_metrics(const StudyResult& study) {
   }
   return out;
 }
+
+namespace {
+
+/// Page composition is probe-invariant, and the paper's 36,057-request
+/// dataset counts each page's requests once: the first H3-mode visit of each
+/// site stands for the page, in site order.
+std::vector<const analysis::PageMetrics*> first_h3_visits(const StudyResult& study) {
+  std::map<std::size_t, const analysis::PageMetrics*> by_site;
+  for (const auto& v : study.visits) {
+    if (v.h3_enabled) by_site.emplace(v.site_index, &v.metrics);
+  }
+  std::vector<const analysis::PageMetrics*> out;
+  out.reserve(by_site.size());
+  for (const auto& [site, m] : by_site) out.push_back(m);
+  return out;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 
@@ -88,19 +78,14 @@ std::vector<Table1Row> compute_table1() {
 }
 
 Table2Result compute_table2(const StudyResult& study) {
-  // The paper's 36,057-request dataset counts each page's requests once; use
-  // the first H3-enabled visit per site (composition is probe-invariant).
   Table2Result r;
-  std::set<std::size_t> seen;
-  for (const auto& v : study.visits) {
-    if (!v.h3_enabled || !seen.insert(v.site_index).second) continue;
-    const auto m = analysis::compute_page_metrics(v.har, classifier());
-    r.cdn_h2 += m.h2_cdn_entries;
-    r.cdn_h3 += m.h3_cdn_entries;
-    r.cdn_other += m.other_cdn_entries;
-    r.noncdn_h2 += m.h2_entries - m.h2_cdn_entries;
-    r.noncdn_h3 += m.h3_entries - m.h3_cdn_entries;
-    r.noncdn_other += m.other_entries - m.other_cdn_entries;
+  for (const analysis::PageMetrics* m : first_h3_visits(study)) {
+    r.cdn_h2 += m->h2_cdn_entries;
+    r.cdn_h3 += m->h3_cdn_entries;
+    r.cdn_other += m->other_cdn_entries;
+    r.noncdn_h2 += m->h2_entries - m->h2_cdn_entries;
+    r.noncdn_h3 += m->h3_entries - m->h3_cdn_entries;
+    r.noncdn_other += m->other_entries - m->other_cdn_entries;
   }
   return r;
 }
@@ -109,15 +94,12 @@ std::vector<Fig2Row> compute_fig2(const StudyResult& study) {
   std::map<cdn::ProviderId, Fig2Row> rows;
   std::size_t total_h3 = 0;
   std::size_t total_cdn = 0;
-  std::set<std::size_t> seen;
-  for (const auto& v : study.visits) {
-    if (!v.h3_enabled || !seen.insert(v.site_index).second) continue;
-    const auto m = analysis::compute_page_metrics(v.har, classifier());
-    for (const auto& [provider, count] : m.provider_counts) {
+  for (const analysis::PageMetrics* m : first_h3_visits(study)) {
+    for (const auto& [provider, count] : m->provider_counts) {
       auto& row = rows[provider];
       row.provider = provider;
       std::size_t h3 = 0;
-      if (auto it = m.provider_h3_counts.find(provider); it != m.provider_h3_counts.end()) {
+      if (auto it = m->provider_h3_counts.find(provider); it != m->provider_h3_counts.end()) {
         h3 = it->second;
       }
       row.h3_requests += h3;
@@ -144,16 +126,10 @@ std::vector<Fig2Row> compute_fig2(const StudyResult& study) {
 }
 
 Fig3Result compute_fig3(const StudyResult& study) {
-  // Page composition is probe-invariant; use the first H3-mode visit per site.
-  std::map<std::size_t, double> pct_by_site;
-  for (const auto& v : study.visits) {
-    if (!v.h3_enabled || pct_by_site.count(v.site_index) > 0) continue;
-    const auto m = analysis::compute_page_metrics(v.har, classifier());
-    pct_by_site[v.site_index] = 100.0 * m.cdn_fraction();
-  }
   std::vector<double> pcts;
-  pcts.reserve(pct_by_site.size());
-  for (const auto& [site, pct] : pct_by_site) pcts.push_back(pct);
+  for (const analysis::PageMetrics* m : first_h3_visits(study)) {
+    pcts.push_back(100.0 * m->cdn_fraction());
+  }
 
   Fig3Result r;
   r.fraction_above_50pct = util::fraction_above(pcts, 50.0);
@@ -162,21 +138,17 @@ Fig3Result compute_fig3(const StudyResult& study) {
 }
 
 Fig4Result compute_fig4(const StudyResult& study) {
-  std::map<std::size_t, analysis::PageMetrics> first_visit;
-  for (const auto& v : study.visits) {
-    if (!v.h3_enabled || first_visit.count(v.site_index) > 0) continue;
-    first_visit.emplace(v.site_index, analysis::compute_page_metrics(v.har, classifier()));
-  }
-  const double n_pages = static_cast<double>(first_visit.size());
+  const auto pages = first_h3_visits(study);
+  const double n_pages = static_cast<double>(pages.size());
 
   Fig4Result r;
   std::map<cdn::ProviderId, std::size_t> appears_on;
   std::map<std::size_t, std::size_t> count_hist;
   std::size_t ge2 = 0;
-  for (const auto& [site, m] : first_visit) {
-    for (const auto& [provider, cnt] : m.provider_counts) ++appears_on[provider];
-    ++count_hist[m.provider_count()];
-    if (m.provider_count() >= 2) ++ge2;
+  for (const analysis::PageMetrics* m : pages) {
+    for (const auto& [provider, cnt] : m->provider_counts) ++appears_on[provider];
+    ++count_hist[m->provider_count()];
+    if (m->provider_count() >= 2) ++ge2;
   }
   for (const auto& [provider, cnt] : appears_on) {
     r.presence.emplace_back(provider, static_cast<double>(cnt) / n_pages);
@@ -189,18 +161,13 @@ Fig4Result compute_fig4(const StudyResult& study) {
 }
 
 Fig5Result compute_fig5(const StudyResult& study) {
-  std::map<std::size_t, analysis::PageMetrics> first_visit;
-  for (const auto& v : study.visits) {
-    if (!v.h3_enabled || first_visit.count(v.site_index) > 0) continue;
-    first_visit.emplace(v.site_index, analysis::compute_page_metrics(v.har, classifier()));
-  }
-
+  const auto pages = first_h3_visits(study);
   Fig5Result r;
   for (cdn::ProviderId provider : cdn::ProviderRegistry::fig5_providers()) {
     std::vector<double> counts;  // over pages *using* the provider, per Fig. 5
-    for (const auto& [site, m] : first_visit) {
-      auto it = m.provider_counts.find(provider);
-      if (it != m.provider_counts.end()) counts.push_back(static_cast<double>(it->second));
+    for (const analysis::PageMetrics* m : pages) {
+      auto it = m->provider_counts.find(provider);
+      if (it != m->provider_counts.end()) counts.push_back(static_cast<double>(it->second));
     }
     r.fraction_pages_gt10[provider] = util::fraction_above(counts, 10.0);
     r.ccdf[provider] = util::ccdf(std::move(counts));
@@ -251,7 +218,7 @@ Fig6Result compute_fig6(const StudyResult& study) {
   // entries that initiated a connection in both visits (see PhaseReduction).
   std::vector<double> connect, wait, receive;
   for (const auto& p : study.pairs()) {
-    for (const auto& pr : analysis::entry_phase_reductions(*p.h2, *p.h3)) {
+    for (const auto& pr : analysis::entry_phase_reductions(p.h2->har, p.h3->har)) {
       if (pr.connect_valid) connect.push_back(pr.connect_ms);
       wait.push_back(pr.wait_ms);
       receive.push_back(pr.receive_ms);
@@ -398,23 +365,25 @@ Table3Result compute_table3(const StudyResult& consecutive_study, std::uint64_t 
     kept.push_back(i);
   }
 
-  analysis::KMeansConfig kc;
-  kc.k = 2;
-  const auto km = analysis::kmeans(points, kc, util::Rng(seed));
-
   Table3Result r;
   r.vector_dimension = vocab.size();
   r.outliers_removed = outliers;
 
+  // Fewer kept pages than clusters (a tiny study) leaves both groups empty.
   std::array<Table3Group, 2> groups;
   std::array<std::vector<double>, 2> reductions;
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    const auto c = km.assignment[i];
-    const auto& s = sites[kept[i]];
-    groups[c].pages += 1;
-    groups[c].avg_providers += s.providers;
-    groups[c].avg_resumed_connections += s.resumed_connections;
-    reductions[c].push_back(s.plt_reduction_ms);
+  analysis::KMeansConfig kc;
+  kc.k = 2;
+  if (points.size() >= kc.k) {
+    const auto km = analysis::kmeans(points, kc, util::Rng(seed));
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      const auto c = km.assignment[i];
+      const auto& s = sites[kept[i]];
+      groups[c].pages += 1;
+      groups[c].avg_providers += s.providers;
+      groups[c].avg_resumed_connections += s.resumed_connections;
+      reductions[c].push_back(s.plt_reduction_ms);
+    }
   }
   for (std::size_t c = 0; c < 2; ++c) {
     if (groups[c].pages > 0) {
@@ -461,9 +430,9 @@ PltDissectionResult compute_plt_dissection(const StudyResult& study) {
     // and the waterfalls.json artifact describe identical runs.
     const std::string label = p.vantage + "/p" + std::to_string(p.probe);
     const auto h2 =
-        obs::analyze_critical_path(browser::make_waterfall(*p.h2, label + "/h2"));
+        obs::analyze_critical_path(browser::make_waterfall(p.h2->har, label + "/h2"));
     const auto h3 =
-        obs::analyze_critical_path(browser::make_waterfall(*p.h3, label + "/h3"));
+        obs::analyze_critical_path(browser::make_waterfall(p.h3->har, label + "/h3"));
     const auto add = [&](Acc& a) {
       ++a.pages;
       a.h2_plt += h2.plt_ms;
@@ -473,17 +442,7 @@ PltDissectionResult compute_plt_dissection(const StudyResult& study) {
     };
     add(overall);
     add(by_vantage[p.vantage]);
-    // Dominant provider: the one serving the most CDN entries of the page.
-    const auto m = analysis::compute_page_metrics(*p.h3, classifier());
-    cdn::ProviderId dominant = cdn::ProviderId::Other;
-    std::size_t best = 0;
-    for (const auto& [provider, count] : m.provider_counts) {
-      if (count > best) {
-        best = count;
-        dominant = provider;
-      }
-    }
-    add(by_provider[best > 0 ? cdn::to_string(dominant) : "none"]);
+    add(by_provider[p.h3->metrics.dominant_provider()]);
   }
 
   const auto finish = [](const std::string& name, const Acc& a) {

@@ -62,6 +62,7 @@ std::vector<PageVisitRecord> ProbeRunTask::run(RunObservability* sink) const {
 
   browser::Browser browser(sim, env, tickets_ptr, bc,
                            probe_rng.fork(h3_enabled ? "browser-h3" : "browser-h2"));
+  const locedge::Classifier classifier{};
 
   // Fixed visiting order (§III-B): sequential over the target list.
   std::vector<PageVisitRecord> visits;
@@ -81,6 +82,7 @@ std::vector<PageVisitRecord> ProbeRunTask::run(RunObservability* sink) const {
     rec.probe = probe;
     rec.h3_enabled = h3_enabled;
     rec.har = std::move(load.har);
+    rec.metrics = analysis::compute_page_metrics(rec.har, classifier);
     if (sink != nullptr) {
       sink->add_waterfall(browser::make_waterfall(rec.har, run_label));
     }

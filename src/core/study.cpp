@@ -75,7 +75,7 @@ std::vector<VisitPair> StudyResult::pairs() const {
     pair.site_index = v.site_index;
     pair.vantage = v.vantage;
     pair.probe = v.probe;
-    (v.h3_enabled ? pair.h3 : pair.h2) = &v.har;
+    (v.h3_enabled ? pair.h3 : pair.h2) = &v;
   }
   std::vector<VisitPair> out;
   out.reserve(by_key.size());

@@ -58,6 +58,9 @@ struct PageVisitRecord {
   int probe = 0;
   bool h3_enabled = false;
   browser::HarPage har;
+  // LocEdge's verdicts over `har`, computed once in the visit's sweep cell;
+  // every table and figure reads these instead of classifying again.
+  analysis::PageMetrics metrics;
 };
 
 /// One probe's paired observation of one site.
@@ -65,8 +68,8 @@ struct VisitPair {
   std::size_t site_index = 0;
   std::string vantage;
   int probe = 0;
-  const browser::HarPage* h2 = nullptr;
-  const browser::HarPage* h3 = nullptr;
+  const PageVisitRecord* h2 = nullptr;
+  const PageVisitRecord* h3 = nullptr;
 };
 
 struct StudyResult {

@@ -71,14 +71,25 @@ TEST(PageMetrics, ProviderH3CountsBoundedByProviderCounts) {
   }
 }
 
-TEST(PagePair, ReductionsAreDifferences) {
-  PagePair pair;
-  pair.h2.plt_ms = 900;
-  pair.h3.plt_ms = 800;
-  pair.h2.reused_connections = 50;
-  pair.h3.reused_connections = 46;
-  EXPECT_DOUBLE_EQ(pair.plt_reduction_ms(), 100.0);
-  EXPECT_DOUBLE_EQ(pair.reused_connection_diff(), 4.0);
+TEST(PageMetrics, DominantProviderIsTheFirstMaximumInIdOrder) {
+  PageMetrics m;
+  m.provider_counts[cdn::ProviderId::Fastly] = 3;
+  m.provider_counts[cdn::ProviderId::Amazon] = 7;
+  m.provider_counts[cdn::ProviderId::Cloudflare] = 7;
+  // Amazon and Cloudflare tie; Cloudflare comes first in id order.
+  ASSERT_LT(cdn::ProviderId::Cloudflare, cdn::ProviderId::Amazon);
+  EXPECT_EQ(m.dominant_provider(), cdn::to_string(cdn::ProviderId::Cloudflare));
+  m.provider_counts[cdn::ProviderId::Fastly] = 8;
+  EXPECT_EQ(m.dominant_provider(), cdn::to_string(cdn::ProviderId::Fastly));
+}
+
+TEST(PageMetrics, DominantProviderIsNoneOnlyWithoutCdnEntries) {
+  Fixture f;
+  const auto r = f.load(0, true);
+  const auto m = compute_page_metrics(r.har, f.classifier);
+  ASSERT_GT(m.cdn_entries, 0u);
+  EXPECT_NE(m.dominant_provider(), "none");
+  EXPECT_EQ(PageMetrics{}.dominant_provider(), "none");
 }
 
 TEST(PhaseReductions, MatchedByResourceId) {

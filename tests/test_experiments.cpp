@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "core/export.h"
 #include "core/report.h"
 
 namespace h3cdn::core {
@@ -161,6 +162,23 @@ TEST_F(ExperimentsTest, Table3SplitsBySharingDegree) {
   // C_H uses more providers and resumes more connections than C_L.
   EXPECT_GT(t3.high.avg_providers, t3.low.avg_providers);
   EXPECT_GT(t3.high.avg_resumed_connections, t3.low.avg_resumed_connections);
+}
+
+TEST_F(ExperimentsTest, Table3WithFewerPagesThanClustersLeavesBothGroupsEmpty) {
+  StudyConfig cfg;
+  cfg.max_sites = 1;
+  cfg.consecutive = true;
+  const auto t3 = compute_table3(MeasurementStudy(cfg).run());
+  EXPECT_EQ(t3.high.pages, 0u);
+  EXPECT_EQ(t3.low.pages, 0u);
+  // One page shares no domain with another page, so it is the one outlier.
+  EXPECT_EQ(t3.vector_dimension, 0u);
+  EXPECT_EQ(t3.outliers_removed, 1u);
+  std::ostringstream os;
+  print_table3(os, t3);
+  os << table3_to_csv(t3);
+  EXPECT_EQ(os.str().find("nan"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("C_H,0,0,0,0"), std::string::npos) << os.str();
 }
 
 TEST_F(ExperimentsTest, Fig9SeriesFromExistingStudy) {

@@ -54,6 +54,48 @@ TEST(ParallelStudy, VisitsAreIdenticalAcrossJobCounts) {
   }
 }
 
+void expect_same_metrics(const analysis::PageMetrics& a, const analysis::PageMetrics& b) {
+  EXPECT_EQ(a.site, b.site);
+  EXPECT_EQ(a.h3_enabled, b.h3_enabled);
+  EXPECT_EQ(a.plt_ms, b.plt_ms);
+  EXPECT_EQ(a.total_entries, b.total_entries);
+  EXPECT_EQ(a.cdn_entries, b.cdn_entries);
+  EXPECT_EQ(a.h2_entries, b.h2_entries);
+  EXPECT_EQ(a.h3_entries, b.h3_entries);
+  EXPECT_EQ(a.other_entries, b.other_entries);
+  EXPECT_EQ(a.h2_cdn_entries, b.h2_cdn_entries);
+  EXPECT_EQ(a.h3_cdn_entries, b.h3_cdn_entries);
+  EXPECT_EQ(a.other_cdn_entries, b.other_cdn_entries);
+  EXPECT_EQ(a.reused_connections, b.reused_connections);
+  EXPECT_EQ(a.resumed_connections, b.resumed_connections);
+  EXPECT_EQ(a.connections_created, b.connections_created);
+  EXPECT_EQ(a.provider_counts, b.provider_counts);
+  EXPECT_EQ(a.provider_h3_counts, b.provider_h3_counts);
+  EXPECT_EQ(a.cdn_domains, b.cdn_domains);
+}
+
+// Each visit carries LocEdge's verdicts over its own archive, classified in
+// its sweep cell: the same as classifying the archive afterwards, at any
+// job count.
+TEST(ParallelStudy, StoredPageMetricsMatchTheArchiveAtAnyJobCount) {
+  StudyConfig cfg = parallel_config(1);
+  cfg.vantages.resize(2);
+  const auto one = MeasurementStudy(cfg).run();
+  cfg.jobs = 4;
+  const auto four = MeasurementStudy(cfg).run();
+  ASSERT_EQ(one.visits.size(), 3u * 2u * 2u * 2u);
+  ASSERT_EQ(one.visits.size(), four.visits.size());
+  for (std::size_t i = 0; i < one.visits.size(); ++i) {
+    const auto& rec = one.visits[i];
+    SCOPED_TRACE(rec.vantage + "/p" + std::to_string(rec.probe) + " site " +
+                 std::to_string(rec.site_index) + (rec.h3_enabled ? " h3" : " h2"));
+    EXPECT_GT(rec.metrics.total_entries, 0u);
+    expect_same_metrics(rec.metrics,
+                        analysis::compute_page_metrics(rec.har, locedge::Classifier{}));
+    expect_same_metrics(rec.metrics, four.visits[i].metrics);
+  }
+}
+
 TEST(ParallelStudy, AggregatesAndJsonExportAreIdenticalAcrossJobCounts) {
   const auto one = MeasurementStudy(parallel_config(1)).run();
   const auto four = MeasurementStudy(parallel_config(4)).run();

@@ -27,9 +27,9 @@ TEST(Study, ProducesTwoVisitsPerSitePerProbe) {
   for (const auto& p : pairs) {
     ASSERT_NE(p.h2, nullptr);
     ASSERT_NE(p.h3, nullptr);
-    EXPECT_FALSE(p.h2->h3_enabled);
-    EXPECT_TRUE(p.h3->h3_enabled);
-    EXPECT_EQ(p.h2->entries.size(), p.h3->entries.size());
+    EXPECT_FALSE(p.h2->har.h3_enabled);
+    EXPECT_TRUE(p.h3->har.h3_enabled);
+    EXPECT_EQ(p.h2->har.entries.size(), p.h3->har.entries.size());
   }
 }
 
