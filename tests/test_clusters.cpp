@@ -126,6 +126,21 @@ TEST(Clusters, AbReplayIsConsistentAndConditionedNeverLosesBadly) {
   EXPECT_LE(r.ab.oracle_mean_plt_ms, r.ab.conditioned_mean_plt_ms + 1e-9);
 }
 
+TEST(Clusters, PaperWorkloadFindsAnArchetypeAndConditioningDoesNotLose) {
+  // 12 sites of the paper's 325-site universe x 3 vantages x 2 probes.
+  StudyConfig cfg;
+  cfg.workload.site_count = 325;
+  cfg.max_sites = 12;
+  cfg.probes_per_vantage = 2;
+  cfg.jobs = 0;
+  const auto r = compute_clusters(MeasurementStudy(cfg).run());
+  EXPECT_GT(r.pages.size(), 0u);
+  EXPECT_GE(r.cluster_count, 1u);
+  // A conditioned selector that loses to the global one would mean the
+  // archetype split carries no signal.
+  EXPECT_GE(r.ab.mean_delta_ms(), 0.0);
+}
+
 TEST(SelectorContexts, ContextEvidenceOverridesTheGlobalMarginal) {
   SelectorConfig cfg;
   cfg.explore_rate = 0.0;
