@@ -8,7 +8,7 @@
 // dissection end-to-end AND per hop. The per-hop vectors re-aggregate to the
 // end-to-end dissection exactly (±1 µs; the cell checks it as an invariant).
 // Single-token plans ("h3", "h2") are direct single-hop baselines, which is
-// where the proxied-vs-direct deltas come from (bench_topology's headline).
+// where the proxied-vs-direct deltas come from (the sweep's headline).
 //
 // Cells run through core::run_sweep (core/sweep.h) and merge in canonical
 // (plan-major, then loss) order: every artifact is byte-identical at any

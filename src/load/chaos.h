@@ -100,7 +100,7 @@ struct ChaosConfig {
   std::size_t sites = 4;  // pages the cell's visits rotate over
   std::vector<ChaosScenario> scenarios = default_chaos_scenarios();
   // Engine under test; enabled by default (the whole point of the harness).
-  // bench_fault_recovery flips it off for the recovery-time comparison.
+  // examples/fault_recovery flips it off for the recovery-time comparison.
   resilience::Options resilience;
   std::size_t max_visits_per_cell = 256;
   browser::VantageConfig vantage;

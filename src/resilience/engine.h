@@ -27,7 +27,7 @@ struct Options {
 
 /// Cumulative counters, mirrored into `resilience.*` obs metrics by the
 /// integration points (http::ConnectionPool, dns::Resolver). Kept as plain
-/// fields too so bench/chaos code can read them without a MetricsRegistry.
+/// fields too so chaos and test code can read them without a MetricsRegistry.
 struct EngineStats {
   std::uint64_t retries = 0;
   std::uint64_t hedges_launched = 0;

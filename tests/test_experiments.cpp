@@ -1,6 +1,7 @@
 // End-to-end experiment sanity at reduced scale: every compute_* driver must
-// produce the paper's qualitative shape. The full-scale quantitative runs
-// live in bench/ (see EXPERIMENTS.md for paper-vs-measured values).
+// produce the paper's qualitative shape. The full-scale runs are the
+// h3cdn_study commands in EXPERIMENTS.md (with paper-vs-measured values);
+// test_pinned_headlines pins Fig. 6 and Fig. 9 values at 12 sites.
 #include "core/experiments.h"
 
 #include <gtest/gtest.h>
