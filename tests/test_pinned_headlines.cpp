@@ -211,6 +211,7 @@ Metrics load_metrics() {
     m[prefix + "refusal_rate"] = row.refusal_rate;
     m[prefix + "mean_queue_depth"] = row.mean_queue_depth;
     m[prefix + "requests_failed"] = static_cast<double>(row.requests_failed);
+    m[prefix + "qoe_fcp_p95_ms"] = row.qoe_fcp_p95_ms;
   }
   // How much the p95 degrades from the lowest to the highest offered load;
   // rows run rate-major, H2 before H3.
@@ -335,36 +336,42 @@ constexpr Pinned kLoad[] = {
     {"r2.h2.refusal_rate", 0},
     {"r2.h2.mean_queue_depth", 0},
     {"r2.h2.requests_failed", 0},
+    {"r2.h2.qoe_fcp_p95_ms", 877.65785},
     {"r2.h3.plt_p50_ms", 842.9285},
     {"r2.h3.plt_p95_ms", 1384.1878},
     {"r2.h3.ttfb_p95_ms", 242.688},
     {"r2.h3.refusal_rate", 0},
     {"r2.h3.mean_queue_depth", 0},
     {"r2.h3.requests_failed", 0},
+    {"r2.h3.qoe_fcp_p95_ms", 825.47665},
     {"r8.h2.plt_p50_ms", 731.534},
     {"r8.h2.plt_p95_ms", 1044.75075},
     {"r8.h2.ttfb_p95_ms", 245.07875},
     {"r8.h2.refusal_rate", 0},
     {"r8.h2.mean_queue_depth", 0},
     {"r8.h2.requests_failed", 0},
+    {"r8.h2.qoe_fcp_p95_ms", 770.7945},
     {"r8.h3.plt_p50_ms", 698.6785},
     {"r8.h3.plt_p95_ms", 942.306},
     {"r8.h3.ttfb_p95_ms", 238.2385},
     {"r8.h3.refusal_rate", 0},
     {"r8.h3.mean_queue_depth", 0},
     {"r8.h3.requests_failed", 0},
+    {"r8.h3.qoe_fcp_p95_ms", 782.99275},
     {"r32.h2.plt_p50_ms", 1814.42},
     {"r32.h2.plt_p95_ms", 22135.239},
     {"r32.h2.ttfb_p95_ms", 253.5808},
     {"r32.h2.refusal_rate", 0.204743320324227},
     {"r32.h2.mean_queue_depth", 0.00813008130081301},
     {"r32.h2.requests_failed", 1606},
+    {"r32.h2.qoe_fcp_p95_ms", 8757.09499999999},
     {"r32.h3.plt_p50_ms", 1574.449},
     {"r32.h3.plt_p95_ms", 24668.3964},
     {"r32.h3.ttfb_p95_ms", 252.9666},
     {"r32.h3.refusal_rate", 0.36260053619303},
     {"r32.h3.mean_queue_depth", 0.0236220472440945},
     {"r32.h3.requests_failed", 3370},
+    {"r32.h3.qoe_fcp_p95_ms", 8863.984},
     {"h3_p95_degradation", 17.8215675647481},
     {"h2_p95_degradation", 18.4165912767702},
 };
