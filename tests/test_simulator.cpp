@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -139,6 +140,13 @@ TEST(SimulatorDeath, PastSchedulingAborts) {
   EXPECT_DEATH(sim.schedule_at(msec(5), [] {}), "precondition");
 }
 
+TEST(SimulatorDeath, PastReschedulingAborts) {
+  Simulator sim;
+  const EventId id = sim.schedule_at(msec(20), [] {});
+  sim.run_until(msec(10));
+  EXPECT_DEATH(sim.reschedule(id, msec(5)), "precondition");
+}
+
 // ---------------------------------------------------------------------------
 // Scheduler contract: same-time FIFO, cancellation, run_until boundaries and
 // exact pending() under interleaved schedule/cancel/run.
@@ -204,6 +212,86 @@ TEST(Scheduler, RescheduleFromInsideCallback) {
   EXPECT_EQ(fired_at, (std::vector<std::int64_t>{-1, msec(7).count(), msec(30).count()}));
 }
 
+TEST(Scheduler, RescheduleMovesAPendingEventAndKeepsItsId) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId id = sim.schedule_at(msec(30), [&] { order.push_back(30); });
+  sim.schedule_at(msec(20), [&] { order.push_back(20); });
+  EXPECT_TRUE(sim.reschedule(id, msec(10)));  // earlier
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.run_until(msec(10)), 1u);
+  EXPECT_EQ(order, (std::vector<int>{30}));
+  const EventId later = sim.schedule_at(msec(15), [&] { order.push_back(15); });
+  EXPECT_TRUE(sim.reschedule(later, msec(25)));  // later
+  EXPECT_TRUE(sim.reschedule(later, msec(25)));  // same time again
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{30, 20, 15}));
+  EXPECT_EQ(sim.now(), msec(25));
+}
+
+TEST(Scheduler, RescheduleOfFiredCancelledOrRecycledIdFails) {
+  Simulator sim;
+  EXPECT_FALSE(sim.reschedule(0, msec(1)));
+  EXPECT_FALSE(sim.reschedule(12345, msec(1)));
+
+  const EventId fired = sim.schedule_at(msec(1), [] {});
+  sim.run();
+  EXPECT_FALSE(sim.reschedule(fired, msec(5)));
+
+  const EventId cancelled = sim.schedule_at(msec(5), [] {});
+  EXPECT_TRUE(sim.cancel(cancelled));
+  EXPECT_FALSE(sim.reschedule(cancelled, msec(6)));
+
+  // The freed slot is reused by the next event; the stale id must not move it.
+  bool recycled_fired = false;
+  const EventId recycled = sim.schedule_at(msec(8), [&] { recycled_fired = true; });
+  EXPECT_EQ(recycled & 0xffffffffu, cancelled & 0xffffffffu);
+  EXPECT_FALSE(sim.reschedule(cancelled, msec(2)));
+  EXPECT_FALSE(sim.reschedule(fired, msec(2)));
+  EXPECT_EQ(sim.run_until(msec(7)), 0u);
+  EXPECT_FALSE(recycled_fired);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(recycled_fired);
+  EXPECT_EQ(sim.now(), msec(8));
+}
+
+TEST(Scheduler, RescheduleOntoAnOccupiedMicrosecondFiresAfterTheWaitingEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  // `moved` was scheduled first, so it led the tie before it moved; a moved
+  // event takes a fresh seq, exactly as cancel + schedule_at would.
+  const EventId moved = sim.schedule_at(msec(20), [&] { order.push_back(1); });
+  sim.schedule_at(msec(10), [&] { order.push_back(2); });
+  EXPECT_TRUE(sim.reschedule(moved, msec(10)));
+  sim.schedule_at(msec(10), [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
+}
+
+TEST(Scheduler, RescheduleAndCancelFromInsideCallback) {
+  Simulator sim;
+  std::vector<int> order;
+  EventId self = 0;
+  EventId moved = 0;
+  EventId victim = 0;
+  self = sim.schedule_at(msec(5), [&] {
+    EXPECT_FALSE(sim.reschedule(self, msec(6)));  // the running event has fired
+    EXPECT_FALSE(sim.cancel(self));
+    EXPECT_TRUE(sim.reschedule(moved, msec(7)));
+    EXPECT_TRUE(sim.cancel(victim));
+    order.push_back(5);
+  });
+  moved = sim.schedule_at(msec(20), [&] {
+    order.push_back(7);
+    EXPECT_FALSE(sim.reschedule(moved, msec(8)));
+  });
+  victim = sim.schedule_at(msec(10), [&] { order.push_back(10); });
+  sim.schedule_at(msec(15), [&] { order.push_back(15); });
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{5, 7, 15}));
+  EXPECT_EQ(sim.now(), msec(15));
+}
+
 // Regression for the pending() double-bookkeeping bug: under interleaved
 // schedule/cancel/run the old shadow-set accounting could drift from the
 // queue's true live count. pending() must stay exact at every step.
@@ -237,25 +325,34 @@ TEST(Scheduler, PendingExactUnderInterleaving) {
 }
 
 // The scheduler contract in its plainest form: a (time, seq)-ordered map of
-// pending ops. The calendar queue must be observably identical to it.
+// pending ops. The heap core must be observably identical to it.
 class ReferenceScheduler {
  public:
   [[nodiscard]] TimePoint now() const { return now_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
   std::uint64_t schedule_in(Duration delay, std::uint32_t op) {
-    queue_.emplace(std::pair{now_ + delay, next_seq_}, op);
-    return next_seq_++;
+    const std::uint64_t handle = next_handle_++;
+    push(handle, now_ + delay, op);
+    return handle;
   }
 
-  bool cancel(std::uint64_t seq) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->first.second == seq) {
-        queue_.erase(it);
-        return true;
-      }
-    }
-    return false;  // fired, cancelled, or unknown
+  bool cancel(std::uint64_t handle) {
+    const auto it = keys_.find(handle);
+    if (it == keys_.end()) return false;  // fired, cancelled, or unknown
+    queue_.erase(it->second);
+    keys_.erase(it);
+    return true;
+  }
+
+  /// Cancel plus schedule at `at` with a fresh seq; the handle stays valid.
+  bool reschedule(std::uint64_t handle, TimePoint at) {
+    const auto it = keys_.find(handle);
+    if (it == keys_.end()) return false;
+    const std::uint32_t op = queue_.at(it->second).op;
+    cancel(handle);
+    push(handle, at, op);
+    return true;
   }
 
   /// Fires ops with time <= until into `fired`; the clock ends at `until`.
@@ -263,7 +360,8 @@ class ReferenceScheduler {
     std::size_t n = 0;
     while (!queue_.empty() && queue_.begin()->first.first <= until) {
       now_ = queue_.begin()->first.first;
-      fired.push_back(queue_.begin()->second);
+      fired.push_back(queue_.begin()->second.op);
+      keys_.erase(queue_.begin()->second.handle);
       queue_.erase(queue_.begin());
       ++n;
     }
@@ -272,8 +370,22 @@ class ReferenceScheduler {
   }
 
  private:
-  std::multimap<std::pair<TimePoint, std::uint64_t>, std::uint32_t> queue_;
+  using Key = std::pair<TimePoint, std::uint64_t>;  // (time, seq)
+  struct Pending {
+    std::uint32_t op;
+    std::uint64_t handle;
+  };
+
+  void push(std::uint64_t handle, TimePoint at, std::uint32_t op) {
+    const Key key{at, next_seq_++};
+    queue_.emplace(key, Pending{op, handle});
+    keys_[handle] = key;
+  }
+
+  std::map<Key, Pending> queue_;  // seq makes every key unique
+  std::map<std::uint64_t, Key> keys_;  // pending handle -> its current key
   std::uint64_t next_seq_ = 0;
+  std::uint64_t next_handle_ = 0;
   TimePoint now_{0};
 };
 
@@ -319,6 +431,83 @@ TEST(SchedulerDifferential, TenThousandOpFuzz) {
   EXPECT_EQ(sim.now(), ref.now());
   ASSERT_EQ(sim_fired, ref_fired);
   EXPECT_EQ(sim.events_executed(), ref_fired.size());
+}
+
+// Differential fuzz on the simulator's own event mix: packets microseconds
+// apart, plus one 200 ms-1 s retransmission timer per flow that every "send"
+// re-arms in place, as Connection::arm_rto does. Timers move both earlier and
+// later, fire when a run jumps past them, and are re-armed by id after they
+// fired (which must fail identically in both models).
+TEST(SchedulerDifferential, BimodalPacketsAndRearmedTimers) {
+  Simulator sim;
+  ReferenceScheduler ref;
+  std::vector<std::uint32_t> sim_fired;
+  std::vector<std::uint32_t> ref_fired;
+  constexpr std::size_t kFlows = 16;
+  std::vector<EventId> sim_timer(kFlows, 0);
+  std::vector<std::uint64_t> ref_timer(kFlows, 0);
+  std::vector<bool> armed(kFlows, false);
+
+  std::uint64_t lcg = 0x0123456789abcdefull;
+  auto rnd = [&lcg] {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return lcg >> 33;
+  };
+  constexpr std::uint32_t kTimerBit = 0x8000'0000u;  // marks a timer's op
+  auto fire = [&sim_fired](std::uint32_t op) {
+    return [&sim_fired, op] { sim_fired.push_back(op); };
+  };
+
+  std::size_t moved = 0;
+  for (std::uint32_t op = 0; op < 20'000; ++op) {
+    const std::uint64_t kind = rnd() % 100;
+    if (kind < 65) {
+      // Send: a packet a few microseconds out, then re-arm this flow's timer.
+      const Duration hop = usec(static_cast<std::int64_t>(rnd() % 8));
+      sim.schedule_in(hop, fire(op));
+      ref.schedule_in(hop, op);
+      const std::size_t flow = rnd() % kFlows;
+      // Deadlines on a millisecond grid, so flows' timers tie now and then.
+      const TimePoint deadline =
+          msec(sim.now().count() / 1000 + 200 + static_cast<std::int64_t>(rnd() % 801));
+      bool sim_moved = false;
+      if (armed[flow]) {
+        sim_moved = sim.reschedule(sim_timer[flow], deadline);
+        ASSERT_EQ(sim_moved, ref.reschedule(ref_timer[flow], deadline)) << "op " << op;
+      }
+      if (sim_moved) {
+        ++moved;
+      } else {
+        sim_timer[flow] = sim.schedule_at(deadline, fire(op | kTimerBit));
+        ref_timer[flow] = ref.schedule_in(deadline - ref.now(), op | kTimerBit);
+        armed[flow] = true;
+      }
+    } else if (kind < 70) {
+      // Disarm a flow's timer (all data acknowledged).
+      const std::size_t flow = rnd() % kFlows;
+      if (armed[flow]) {
+        ASSERT_EQ(sim.cancel(sim_timer[flow]), ref.cancel(ref_timer[flow])) << "op " << op;
+      }
+    } else {
+      // Mostly short runs through the packet burst; now and then a jump far
+      // enough that timers fire.
+      const Duration span = kind < 97 ? usec(static_cast<std::int64_t>(rnd() % 40))
+                                      : usec(static_cast<std::int64_t>(rnd() % 1'200'000));
+      const TimePoint until = sim.now() + span;
+      ASSERT_EQ(sim.run_until(until), ref.run_until(until, ref_fired)) << "op " << op;
+      ASSERT_EQ(sim.now(), ref.now()) << "op " << op;
+    }
+    ASSERT_EQ(sim.pending(), ref.pending()) << "op " << op;
+  }
+  EXPECT_EQ(sim.run(), ref.run_until(TimePoint::max(), ref_fired));
+  EXPECT_EQ(sim.now(), ref.now());
+  ASSERT_EQ(sim_fired, ref_fired);
+  // The mix exercised what it is for: most sends moved a pending timer, and
+  // some timers fired.
+  EXPECT_GT(moved, 5'000u);
+  EXPECT_GT(std::count_if(sim_fired.begin(), sim_fired.end(),
+                          [](std::uint32_t op) { return (op & kTimerBit) != 0; }),
+            10);
 }
 
 }  // namespace
