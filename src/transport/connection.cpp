@@ -938,16 +938,19 @@ void Connection::declare_lost(Dir d, std::uint64_t packet_num, bool from_rto) {
 
 void Connection::arm_rto(Dir d) {
   auto& s = dir(d);
-  if (s.rto_timer != 0) {
-    sim_.cancel(s.rto_timer);
+  if (s.in_flight.empty() || closed_) {
+    if (s.rto_timer != 0) sim_.cancel(s.rto_timer);
     s.rto_timer = 0;
+    return;
   }
-  if (s.in_flight.empty() || closed_) return;
   // in_flight is keyed by packet number; retransmissions get fresh (larger)
   // numbers, so the first entry is the oldest outstanding transmission.
   const TimePoint earliest = s.in_flight.begin()->second.sent;
   TimePoint fire_at = earliest + s.rtt.rto();
   if (fire_at <= sim_.now()) fire_at = sim_.now() + usec(1);
+  // Move a pending timer in place: it orders exactly as cancel + schedule
+  // would, without rebuilding the callback and its shared_ptr on every ACK.
+  if (s.rto_timer != 0 && sim_.reschedule(s.rto_timer, fire_at)) return;
   auto self = shared_from_this();
   s.rto_timer = sim_.schedule_at(fire_at, [self, d] { self->handle_rto(d); });
 }
