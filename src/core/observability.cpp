@@ -9,25 +9,6 @@
 
 namespace h3cdn::core {
 
-ObservabilityConfig ObservabilityConfig::per_shard(std::size_t shard_count) const {
-  if (shard_count <= 1) return *this;
-  const auto split = [shard_count](std::size_t cap) -> std::size_t {
-    if (cap == 0) return 0;  // unlimited stays unlimited
-    return (cap + shard_count - 1) / shard_count;
-  };
-  ObservabilityConfig shard = *this;
-  shard.max_waterfalls = split(max_waterfalls);
-  return shard;
-}
-
-void RunObservability::add_waterfall(obs::Waterfall waterfall) {
-  if (config_.max_waterfalls != 0 && waterfalls_.size() >= config_.max_waterfalls) {
-    metrics_.counter("obs.waterfalls_dropped").inc();
-    return;
-  }
-  waterfalls_.push_back(std::move(waterfall));
-}
-
 void RunObservability::add_fault_annotation(obs::FaultAnnotation annotation) {
   fault_annotations_.push_back(std::move(annotation));
 }
@@ -38,7 +19,7 @@ void RunObservability::merge_from(RunObservability&& shard) {
     fault_annotations_.push_back(std::move(a));
   }
   shard.fault_annotations_.clear();
-  for (obs::Waterfall& w : shard.waterfalls_) add_waterfall(std::move(w));
+  for (obs::Waterfall& w : shard.waterfalls_) waterfalls_.push_back(std::move(w));
   shard.waterfalls_.clear();
   shard.metrics_.clear();
 }
@@ -71,7 +52,8 @@ bool RunObservability::write_artifacts(const std::string& dir, std::string* erro
     if (error) *error = "cannot create " + dir + ": " + ec.message();
     return false;
   }
-  const std::vector<obs::SloResult> slo_results = obs::evaluate_slos(timeline(), config_.slo);
+  const std::vector<obs::SloResult> slo_results =
+      obs::evaluate_slos(timeline(), obs::default_slo_objectives());
   return write_file(base / "metrics.json", obs::metrics_to_json(metrics_), error) &&
          write_file(base / "metrics.csv", obs::metrics_to_csv(metrics_), error) &&
          write_file(base / "metrics.prom", obs::metrics_to_prometheus(metrics_), error) &&

@@ -27,29 +27,9 @@
 
 namespace h3cdn::core {
 
-struct ObservabilityConfig {
-  // Cap on collected waterfalls (one per page visit). 0 = unlimited. In a
-  // sharded run the cap is split evenly across shards (see per_shard), so
-  // which pages are kept never depends on thread scheduling. The trace log's
-  // caps are constants of obs::TraceLog, split the same way by run_sweep.
-  std::size_t max_waterfalls = 0;
-  // Window width of the sim-time timeline (timeline.{json,csv}); every shard
-  // and chaos cell must use the same width or merge_from aborts.
-  Duration timeline_bucket = msec(250);
-  // Objectives evaluated over the merged timeline into slo.json. Clear to
-  // skip SLO evaluation entirely.
-  std::vector<obs::SloObjective> slo = obs::default_slo_objectives();
-
-  /// The per-shard slice of this config: the waterfall cap is divided evenly
-  /// (rounded up) across `shard_count` shards so every shard gets a
-  /// deterministic quota regardless of execution order.
-  [[nodiscard]] ObservabilityConfig per_shard(std::size_t shard_count) const;
-};
-
 class RunObservability {
  public:
-  explicit RunObservability(ObservabilityConfig config = {})
-      : config_(std::move(config)), metrics_(config_.timeline_bucket) {}
+  RunObservability() = default;
   RunObservability(const RunObservability&) = delete;
   RunObservability& operator=(const RunObservability&) = delete;
 
@@ -62,11 +42,9 @@ class RunObservability {
   [[nodiscard]] obs::TraceLog& traces() { return metrics_.traces(); }
   [[nodiscard]] const obs::TraceLog& traces() const { return metrics_.traces(); }
   [[nodiscard]] const std::vector<obs::Waterfall>& waterfalls() const { return waterfalls_; }
-  [[nodiscard]] const ObservabilityConfig& config() const { return config_; }
 
-  /// Stores a finished page's waterfall (dropped once past max_waterfalls;
-  /// the drop is counted in the `obs.waterfalls_dropped` metric).
-  void add_waterfall(obs::Waterfall waterfall);
+  /// Stores a finished page's waterfall.
+  void add_waterfall(obs::Waterfall waterfall) { waterfalls_.push_back(std::move(waterfall)); }
 
   /// Records one scenario's fault->recovery annotation (chaos harness).
   void add_fault_annotation(obs::FaultAnnotation annotation);
@@ -76,12 +54,11 @@ class RunObservability {
 
   /// Folds a per-shard sink into this run-level one: the registry (metrics,
   /// the bucket-wise timeline, profiler phases, and the trace tracks appended
-  /// after the ones already here; see obs::MetricsRegistry::merge_from) and
-  /// fault annotations merge, and the shard's
-  /// waterfalls are re-admitted through add_waterfall (so the run-level
-  /// max_waterfalls cap still binds). Callers must merge shards in canonical
-  /// shard order — that single rule is what makes every artifact independent
-  /// of thread scheduling. The shard sink is left drained.
+  /// after the ones already here; see obs::MetricsRegistry::merge_from)
+  /// merges, and the shard's fault annotations and waterfalls are appended.
+  /// Callers must merge shards in canonical shard order — that single rule is
+  /// what makes every artifact independent of thread scheduling. The shard
+  /// sink is left drained.
   void merge_from(RunObservability&& shard);
 
   /// Writes metrics.json/csv/prom, qlog.json, waterfalls.json,
@@ -93,7 +70,6 @@ class RunObservability {
   bool write_artifacts(const std::string& dir, std::string* error = nullptr) const;
 
  private:
-  ObservabilityConfig config_;
   obs::MetricsRegistry metrics_;
   std::vector<obs::Waterfall> waterfalls_;
   std::vector<obs::FaultAnnotation> fault_annotations_;

@@ -69,7 +69,8 @@ std::vector<PageVisitRecord> ProbeRunTask::run(RunObservability* sink) const {
   visits.reserve(site_count);
   for (std::size_t si = 0; si < site_count; ++si) {
     const web::WebPage& page = workload->sites[si].page;
-    if (config->warm_caches) {
+    {
+      // The paper's cache-warming first visit.
       obs::ProfileScope warm_scope(kWarmCaches);
       env.warm_page(page);
     }

@@ -59,7 +59,7 @@ VisitOutcome run_visit(const web::Workload& workload, const web::WebPage& page,
 /// One (condition, site) cell: the visit outcomes plus the link drop-reason
 /// counters its visits recorded, copied out of the cell's own registry so a
 /// row reads drops from the same source of truth as every other metrics
-/// consumer instead of re-aggregating LinkStats by hand.
+/// consumer.
 struct SiteVisit {
   VisitOutcome h2;  // loss-axis conditions only
   VisitOutcome h3;

@@ -38,7 +38,6 @@ struct StudyConfig {
   // lossy mobile link of arXiv 1707.05836 (see net/link_profile.h).
   std::string link_profile;
   bool consecutive = false;    // keep session tickets across pages (§VI-D)
-  bool warm_caches = true;     // the paper's cache-warming first visit
   std::size_t max_sites = 0;   // 0 = all workload sites; else truncate
   std::uint64_t seed = 7;
   // Worker threads for shard execution: 0 = hardware_concurrency, 1 = one

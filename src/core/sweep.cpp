@@ -23,7 +23,7 @@ void run_sweep(std::size_t cells, int jobs, RunObservability* sink,
     util::ThreadPool pool(workers);
     pool.parallel_for(cells, [&](std::size_t cell) {
       if (sink != nullptr) {
-        shards[cell] = std::make_unique<RunObservability>(sink->config().per_shard(cells));
+        shards[cell] = std::make_unique<RunObservability>();
         shards[cell]->traces().set_shard_count(cells);
       }
       RunObservability* shard = shards[cell].get();

@@ -3,12 +3,11 @@
 // and this is the one place that runs them in parallel.
 //
 // run_sweep executes run_cell(0..cells-1) on a util::ThreadPool. With a
-// non-null `sink`, each cell gets a private RunObservability (the sink's
-// config split by per_shard(cells), its trace log's connection cap split by
-// set_shard_count(cells)) whose metrics registry — the one sink that also
-// holds the timeline, profiler and trace log — is installed thread-locally
-// for the duration of the cell; afterwards
-// the shards merge into `sink` in cell order. With a null sink every cell
+// non-null `sink`, each cell gets a private RunObservability (its trace log's
+// connection cap split by set_shard_count(cells)) whose metrics registry —
+// the one sink that also holds the timeline, profiler and trace log — is
+// installed thread-locally for the duration of the cell; afterwards the
+// shards merge into `sink` in cell order. With a null sink every cell
 // sees a null shard and no sink is installed. Callers pre-size their own row
 // vector and write rows[cell], so rows and every merged artifact are
 // byte-identical at any `jobs` value. docs/PARALLELISM.md states the

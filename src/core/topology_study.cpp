@@ -174,9 +174,9 @@ TopologyResult run_topology(const TopologyConfig& config, RunObservability* obse
   wc.site_count = std::max(wc.site_count, config.sites);
   const web::Workload workload = web::generate_workload(wc);
 
-  // Canonical plan list: the configured plans, then (include_direct) one
-  // direct baseline per distinct client-facing protocol, in first-appearance
-  // order, skipping plans already listed.
+  // Canonical plan list: the configured plans, then one direct baseline per
+  // distinct client-facing protocol, in first-appearance order, skipping
+  // plans already listed.
   std::vector<topology::PathPlan> plans;
   std::vector<std::string> plan_names;
   auto add_plan = [&](const std::string& name) {
@@ -189,12 +189,8 @@ TopologyResult run_topology(const TopologyConfig& config, RunObservability* obse
     plans.push_back(std::move(*parsed));
   };
   for (const auto& name : config.plans) add_plan(name);
-  if (config.include_direct) {
-    const std::size_t configured = plans.size();
-    for (std::size_t i = 0; i < configured; ++i) {
-      add_plan(plans[i].hop_h3(0) ? "h3" : "h2");
-    }
-  }
+  const std::size_t configured = plans.size();
+  for (std::size_t i = 0; i < configured; ++i) add_plan(plans[i].hop_h3(0) ? "h3" : "h2");
 
   std::vector<TopoCell> cells;
   for (const auto& plan : plans) {

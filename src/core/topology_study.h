@@ -34,10 +34,9 @@ struct TopologyConfig {
   std::size_t sites = 6;  // pages visited per cell
 
   // Swept path plans (PathPlan grammar: hyphen-joined h2/h3 hop tokens).
+  // A direct single-hop baseline per distinct client-facing protocol of
+  // `plans` is always appended (the proxied-vs-direct comparison surface).
   std::vector<std::string> plans = {"h3-h3", "h3-h2", "h2-h3"};
-  // Append a direct single-hop baseline per distinct client-facing protocol
-  // of `plans` (the proxied-vs-direct comparison surface).
-  bool include_direct = true;
   std::vector<double> loss_rates = {0.0, 0.01};
 
   browser::VantageConfig vantage;

@@ -41,7 +41,6 @@ int Resolver::channel_setup_rtts() {
   if (config_.transport == DnsTransport::Do53) return 0;  // connectionless
   if (channel_open_) return 0;
   channel_open_ = true;
-  ++stats_.channels_established;
   obs::count(kChannelsEstablished);
   switch (config_.transport) {
     case DnsTransport::DoT:
@@ -63,7 +62,6 @@ int Resolver::channel_setup_rtts() {
 
 Duration Resolver::recursive_work() {
   if (rng_.bernoulli(config_.recursive_cache_hit)) {
-    ++stats_.recursive_cache_hits;
     obs::count(kRecursiveCacheHits);
     return usec(200);  // cached at the recursive: lookup only
   }
@@ -76,7 +74,6 @@ void Resolver::issue_query(const std::string& name, std::function<void(TimePoint
   // Query message loss: encrypted transports recover via their reliable
   // channel (~1 extra RTT); plain UDP waits for the stub's retry timer.
   if (rng_.bernoulli(config_.query_loss_rate)) {
-    ++stats_.retries;
     obs::count(kRetries);
     const Duration penalty = config_.transport == DnsTransport::Do53
                                  ? config_.udp_timeout
@@ -136,7 +133,6 @@ std::size_t Resolver::preferred_address(const std::string& name, TimePoint now) 
 void Resolver::report_failure(const std::string& name, TimePoint now) {
   DnsRecord* record = cache_.find(name);
   if (record == nullptr || record->address_count <= 1) return;
-  ++stats_.failover_reports;
   obs::count(kFailoverReports, now);
   if (record->unhealthy_until.size() < record->address_count) {
     record->unhealthy_until.resize(record->address_count, TimePoint{0});
@@ -146,7 +142,6 @@ void Resolver::report_failure(const std::string& name, TimePoint now) {
     const std::size_t candidate = (record->preferred + i) % record->address_count;
     if (record->address_healthy(candidate, now)) {
       record->preferred = candidate;
-      ++stats_.failover_switches;
       obs::count(kFailoverSwitches, now);
       return;
     }
@@ -159,25 +154,21 @@ void Resolver::report_failure(const std::string& name, TimePoint now) {
   }
   if (best != record->preferred) {
     record->preferred = best;
-    ++stats_.failover_switches;
     obs::count(kFailoverSwitches, now);
   }
 }
 
 void Resolver::resolve(const std::string& name, std::function<void(TimePoint)> done) {
   H3CDN_EXPECTS(done != nullptr);
-  ++stats_.queries;
   obs::count(kQueries, sim_.now());
   if (const auto record = cache_.lookup(name, sim_.now())) {
     if (record->negative_valid_at(sim_.now())) {
-      ++stats_.stub_cache_hits;
       obs::count(kStubCacheHits);
       sim_.schedule_in(Duration::zero(), [this, done = std::move(done)] { done(sim_.now()); });
       return;
     }
     // The positive record is valid but the negative (no-AAAA) answer has
     // expired: the dual-stack query pair must go out again (RFC 2308).
-    ++stats_.negative_expiries;
     obs::count(kNegativeExpiries, sim_.now());
   }
   if (obs::enabled()) {

@@ -51,18 +51,6 @@ struct ResolverConfig {
   Duration health_cooldown = sec(5);
 };
 
-struct ResolverStats {
-  std::uint64_t queries = 0;
-  std::uint64_t stub_cache_hits = 0;
-  std::uint64_t recursive_cache_hits = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t channels_established = 0;
-  std::uint64_t negative_expiries = 0;  // repeat resolves forced by RFC 2308 expiry
-  // DNS failover (docs/RESILIENCE.md).
-  std::uint64_t failover_reports = 0;   // connection failures reported to a record
-  std::uint64_t failover_switches = 0;  // reports that moved to another address
-};
-
 class Resolver {
  public:
   Resolver(sim::Simulator& sim, ResolverConfig config, util::Rng rng);
@@ -89,7 +77,6 @@ class Resolver {
   void report_failure(const std::string& name, TimePoint now);
 
   [[nodiscard]] DnsCache& cache() { return cache_; }
-  [[nodiscard]] const ResolverStats& stats() const { return stats_; }
   [[nodiscard]] const ResolverConfig& config() const { return config_; }
 
  private:
@@ -105,7 +92,6 @@ class Resolver {
   ResolverConfig config_;
   util::Rng rng_;
   DnsCache cache_;
-  ResolverStats stats_;
   bool channel_open_ = false;
   bool had_channel_before_ = false;  // enables DoQ 0-RTT resumption
 };

@@ -65,7 +65,6 @@ bool ConnectionPool::h3_broken(const std::string& domain) {
   if (sim_.now() >= it->second) {
     // TTL expired: clear the mark; the caller's next H3 dial is the re-probe.
     h3_broken_until_.erase(it);
-    ++stats_.h3_reprobes;
     obs::count(kPoolH3Reprobes, sim_.now());
     record_fault(obs::TraceEventType::H3ReProbe, obs::FaultKind::None);
     return false;
@@ -127,15 +126,12 @@ std::shared_ptr<Session> ConnectionPool::make_session(const std::string& domain,
   ++stats_.connections_created;
   switch (version) {
     case HttpVersion::H1_1:
-      ++stats_.h1_connections;
       obs::count(kPoolConnectionsH1, sim_.now());
       break;
     case HttpVersion::H2:
-      ++stats_.h2_connections;
       obs::count(kPoolConnectionsH2, sim_.now());
       break;
     case HttpVersion::H3:
-      ++stats_.h3_connections;
       obs::count(kPoolConnectionsH3, sim_.now());
       break;
   }
@@ -204,7 +200,6 @@ std::shared_ptr<Session> ConnectionPool::session_for(const std::string& domain,
 
 void ConnectionPool::fetch(const Request& request, FetchDone done) {
   H3CDN_EXPECTS(!request.domain.empty());
-  ++stats_.entries_submitted;
   obs::count(kEntriesSubmitted, sim_.now());
   auto& state = origin_state(request.domain);
   HttpVersion version = protocol_for(*state.info);
@@ -215,10 +210,7 @@ void ConnectionPool::fetch(const Request& request, FetchDone done) {
     if (hint == HttpVersion::H3 && config_.h3_enabled && state.info->supports_h3) {
       version = HttpVersion::H3;
     }
-    if (version != default_pick) {
-      ++stats_.hint_overrides;
-      obs::count(kHintOverrides);
-    }
+    if (version != default_pick) obs::count(kHintOverrides);
   }
   // Alt-Svc brokenness: a host whose H3 died routes to H2 until the timed
   // re-probe (h3_broken clears an expired mark as a side effect).
@@ -233,8 +225,6 @@ void ConnectionPool::fetch(const Request& request, FetchDone done) {
   if (eng != nullptr && version == HttpVersion::H3 && state.info->supports_h2 &&
       !eng->breakers().get(request.domain, "h3").allow(sim_.now())) {
     version = HttpVersion::H2;
-    ++stats_.breaker_demotions;
-    ++eng->stats.breaker_demotions;
     obs::count(kBreakerDemotions, sim_.now());
   }
 
@@ -284,13 +274,10 @@ FetchDone ConnectionPool::with_resilience(const Request& routed, HttpVersion ver
       }
       if (st->hedged) {
         if (t.failed) {
-          ++eng->stats.hedges_cancelled;
           obs::count(kHedgesCancelled, sim_.now());
         } else if (is_hedge_copy) {
-          ++eng->stats.hedges_won;
           obs::count(kHedgesWon, sim_.now());
         } else {
-          ++eng->stats.hedges_lost;
           obs::count(kHedgesLost, sim_.now());
         }
       }
@@ -311,15 +298,13 @@ FetchDone ConnectionPool::with_resilience(const Request& routed, HttpVersion ver
   if (auto delay = eng->hedge_trigger().delay()) {
     Request copy = routed;
     st->timer = sim_.schedule_in(
-        *delay, [this, st, eng, copy = std::move(copy), version, submitted, wrap,
+        *delay, [this, st, copy = std::move(copy), version, submitted, wrap,
                  alive = std::weak_ptr<char>(alive_)]() mutable {
           if (alive.expired()) return;  // pool gone; the page already finished
           st->timer = 0;
           if (st->settled) return;
           st->hedged = true;
           ++st->outstanding;
-          ++eng->stats.hedges_launched;
-          ++stats_.hedges_launched;
           obs::count(kHedgesLaunched, sim_.now());
           auto& state = origin_state(copy.domain);
           HttpVersion hedge_version = version;
@@ -400,10 +385,6 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
       if (orphan.bytes_received > 0) {
         const std::size_t saved =
             std::min(orphan.bytes_received, orphan.request.response_bytes);
-        ++stats_.requests_resumed;
-        ++eng->stats.resumed_requests;
-        stats_.resumed_bytes += saved;
-        eng->stats.resumed_bytes += saved;
         obs::count(kResumedRequests, sim_.now());
         obs::count(kResumedBytes, sim_.now(), saved);
       }
@@ -430,10 +411,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
       ++stats_.refusal_retries;
       obs::count(kPoolRequestsRescued, sim_.now());
       obs::count(kPoolRefusalRetries, sim_.now());
-      if (eng != nullptr) {
-        ++eng->stats.retries;
-        obs::count(kRetries, sim_.now());
-      }
+      if (eng != nullptr) obs::count(kRetries, sim_.now());
       record_fault(obs::TraceEventType::FallbackTriggered, fault);
       prepare_resume(orphan);
       const int exponent = std::max(0, orphan.attempts - 1);
@@ -470,7 +448,6 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
   HttpVersion reroute = version;
   if (version == HttpVersion::H3 && config_.h3_fallback_enabled) {
     h3_broken_until_[domain] = sim_.now() + config_.h3_broken_ttl;
-    ++stats_.h3_broken_marks;
     ++stats_.h3_fallbacks;
     obs::count(kPoolH3Fallbacks, sim_.now());
     record_fault(obs::TraceEventType::H3BrokenMarked, fault);
@@ -490,7 +467,6 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
     if (eng != nullptr) {
       // Engine rescues back off (exponential + deterministic jitter) instead
       // of redialling instantly, so a dead edge is not hammered in lockstep.
-      ++eng->stats.retries;
       obs::count(kRetries, sim_.now());
       const Duration backoff = eng->retry().backoff_for(orphan.attempts, rng_);
       sim_.schedule_in(backoff, [this, orphan = std::move(orphan), reroute,
@@ -509,11 +485,7 @@ void ConnectionPool::fail_orphan(Session::Orphan orphan, HttpVersion version,
   H3CDN_EXPECTS(reason != FailureReason::None);
   ++stats_.requests_failed;
   obs::count(kEntriesFailed, sim_.now());
-  if (reason == FailureReason::DeadlineExceeded) {
-    ++stats_.deadline_failures;
-    if (resilience::Engine* eng = engine()) ++eng->stats.deadline_failures;
-    obs::count(kDeadlineFailures, sim_.now());
-  }
+  if (reason == FailureReason::DeadlineExceeded) obs::count(kDeadlineFailures, sim_.now());
   EntryTimings t;
   t.started = orphan.submitted;
   t.finished = sim_.now();

@@ -117,11 +117,7 @@ struct PoolConfig {
 };
 
 struct PoolStats {
-  std::uint64_t entries_submitted = 0;
   std::uint64_t connections_created = 0;
-  std::uint64_t h1_connections = 0;
-  std::uint64_t h2_connections = 0;
-  std::uint64_t h3_connections = 0;
   std::uint64_t resumed_connections = 0;   // Resumed or ZeroRtt handshakes
   std::uint64_t zero_rtt_connections = 0;
   // Fault recovery (docs/FAULTS.md).
@@ -129,20 +125,9 @@ struct PoolStats {
   std::uint64_t h3_fallbacks = 0;        // H3 deaths degraded to H2
   std::uint64_t requests_rescued = 0;    // orphans transparently re-submitted
   std::uint64_t requests_failed = 0;     // orphans past the retry budget
-  std::uint64_t h3_broken_marks = 0;     // hosts marked "H3 broken"
-  std::uint64_t h3_reprobes = 0;         // broken marks expired and re-probed
   // Server-capacity admission (docs/LOAD.md).
   std::uint64_t connections_refused = 0;  // dials refused by server admission
   std::uint64_t refusal_retries = 0;      // orphans re-dialled after backoff
-  // Resilience engine (docs/RESILIENCE.md; all zero when the engine is off).
-  std::uint64_t requests_resumed = 0;    // rescues that carried a Range offset
-  std::uint64_t resumed_bytes = 0;       // body bytes skipped via Range resume
-  std::uint64_t hedges_launched = 0;     // duplicate copies dispatched
-  std::uint64_t deadline_failures = 0;   // typed DeadlineExceeded failures
-  std::uint64_t breaker_demotions = 0;   // H3 dials demoted to H2 by a breaker
-  // Adaptive protocol selection (core::AdaptiveProtocolSelector via
-  // PoolConfig::protocol_hint, optionally archetype-conditioned).
-  std::uint64_t hint_overrides = 0;      // fetches where the hint changed the pick
 };
 
 class ConnectionPool {

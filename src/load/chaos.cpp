@@ -152,6 +152,9 @@ bool ChaosResult::all_passed() const {
 
 namespace {
 
+// One cell's open-loop runaway cap (load::FleetConfig::max_visits).
+constexpr std::size_t kMaxVisitsPerCell = 256;
+
 void merge_fault_profile(net::FaultProfile& into, const net::FaultProfile& from) {
   if (from.gilbert_elliott.enabled) into.gilbert_elliott = from.gilbert_elliott;
   for (const auto& o : from.outages) into.outages.push_back(o);
@@ -180,7 +183,7 @@ ChaosCellRow run_chaos_cell(const web::Workload& workload, const ChaosConfig& co
   fc.arrival.rate_per_sec = sc.rate_per_sec;
   fc.arrival.window = sc.window;
   fc.h3 = sc.h3;
-  fc.max_visits = config.max_visits_per_cell;
+  fc.max_visits = kMaxVisitsPerCell;
   fc.vantage = config.vantage;
   fc.vantage.edge_capacity = {};  // servers come from the shared farm
   if (!sc.link_profile.empty()) {
@@ -373,8 +376,8 @@ ChaosResult run_chaos(const ChaosConfig& config, core::RunObservability* observa
   const web::Workload workload = web::generate_workload(wc);
 
   // Cells read their counters and timeline back, so they always need shards:
-  // without a caller sink, a local one takes the configured timeline bucket.
-  RunObservability local(ObservabilityConfig{.timeline_bucket = config.timeline_bucket});
+  // without a caller sink, a local one collects them.
+  RunObservability local;
   ChaosResult result;
   result.sites = std::min(config.sites, workload.sites.size());
   result.resilience_enabled = config.resilience.enabled;

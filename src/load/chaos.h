@@ -102,15 +102,10 @@ struct ChaosConfig {
   // Engine under test; enabled by default (the whole point of the harness).
   // examples/fault_recovery flips it off for the recovery-time comparison.
   resilience::Options resilience;
-  std::size_t max_visits_per_cell = 256;
   browser::VantageConfig vantage;
   browser::BrowserConfig browser;
   std::uint64_t seed = 20240131;
   int jobs = 1;  // 0 = hardware concurrency
-  // Timeline window width for the per-cell recorders. Ignored when an
-  // observability sink is attached: cells then inherit the sink's bucket so
-  // the merged timeline is well-formed.
-  Duration timeline_bucket = msec(250);
 };
 
 /// One scenario cell's outcome: fleet-level results, the resilience counters

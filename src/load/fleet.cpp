@@ -65,9 +65,8 @@ std::uint32_t Fleet::stratum_of(std::size_t member, TimePoint at) const {
   const std::uint32_t profile = profile_of(member);
   std::uint32_t phases = 1;
   std::uint32_t phase = 0;
-  if (config_.arrival.kind != ArrivalKind::ClosedLoop &&
-      config_.sampling.arrival_phases > 1 && config_.arrival.window.count() > 0) {
-    phases = static_cast<std::uint32_t>(config_.sampling.arrival_phases);
+  if (config_.arrival.kind != ArrivalKind::ClosedLoop && config_.arrival.window.count() > 0) {
+    phases = kArrivalPhases;
     const auto raw = static_cast<std::uint64_t>(at.count()) * phases /
                      static_cast<std::uint64_t>(config_.arrival.window.count());
     phase = static_cast<std::uint32_t>(std::min<std::uint64_t>(raw, phases - 1));

@@ -32,15 +32,16 @@ struct LinkMixEntry {
   double weight = 1.0;
 };
 
+/// Arrival-phase strata: the window is cut into this many equal spans so
+/// diurnal load shape survives sampling. Ignored for closed-loop fleets.
+inline constexpr std::uint32_t kArrivalPhases = 4;
+/// Two-sided normal quantile for the reported quantile error bounds (95%
+/// confidence).
+inline constexpr double kConfidenceZ = 1.959964;
+
 struct SamplingConfig {
   /// Target number of simulated members; 0 disables sampling (everyone runs).
   std::size_t target = 0;
-  /// Arrival-phase strata: the window is cut into this many equal spans so
-  /// diurnal load shape survives sampling. Ignored for closed-loop fleets.
-  std::size_t arrival_phases = 4;
-  /// Two-sided normal quantile for the reported quantile error bounds
-  /// (default: 95% confidence).
-  double confidence_z = 1.959964;
 };
 
 struct StratumSummary {

@@ -84,7 +84,7 @@ LoadCellRow run_cell(const web::Workload& workload, const LoadStudyConfig& confi
   if (out.plan.active) {
     // Weighted estimators extrapolate the coreset to the population; the p95
     // rank-CI is the reported error bound (docs/SCALING.md §4).
-    const double z = config.sampling.confidence_z;
+    const double z = kConfidenceZ;
     row.plt_p50_ms = weighted_quantile(plt_w, 0.50, z).value;
     const QuantileEstimate p95 = weighted_quantile(plt_w, 0.95, z);
     row.plt_p95_ms = p95.value;

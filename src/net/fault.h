@@ -26,7 +26,7 @@ namespace h3cdn::net {
 /// Tcp. UDP-only blackholes drop the former and pass the latter.
 enum class PacketClass { Tcp, Udp };
 
-/// Why a packet was dropped (the LinkStats breakdown).
+/// Why a packet was dropped: selects the `net.link.dropped.*` counter.
 enum class DropReason {
   None,       // delivered
   Bernoulli,  // i.i.d. draw (Link's baseline loss or the GE good state)

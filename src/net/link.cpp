@@ -42,8 +42,6 @@ void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bo
                     PacketClass pclass) {
   H3CDN_EXPECTS(on_deliver != nullptr);
   obs::ProfileScope profile(kLinkTransmit);
-  ++stats_.packets_offered;
-  stats_.bytes_offered += size_bytes;
   obs::count(kLinkPacketsOffered);
   obs::count(kLinkBytesOffered, size_bytes);
 
@@ -71,19 +69,15 @@ void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bo
     reason = DropReason::Bernoulli;
   }
   if (reason != DropReason::None) {
-    ++stats_.packets_dropped;
     obs::count(kLinkPacketsDropped);
     switch (reason) {
       case DropReason::Bernoulli:
-        ++stats_.dropped_bernoulli;
         obs::count(kLinkDropBernoulli);
         break;
       case DropReason::Burst:
-        ++stats_.dropped_burst;
         obs::count(kLinkDropBurst);
         break;
       case DropReason::Outage:
-        ++stats_.dropped_outage;
         obs::count(kLinkDropOutage);
         break;
       case DropReason::None: break;
@@ -101,7 +95,6 @@ void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bo
   const TimePoint arrival =
       std::max(next_free_ + config_.latency + jitter + extra_delay, last_arrival_);
   last_arrival_ = arrival;
-  ++stats_.packets_delivered;
   obs::count(kLinkPacketsDelivered);
   obs::observe_ms(kLinkSerializationWaitMs, start - sim_.now());
   sim_.schedule_at(arrival, std::move(on_deliver));

@@ -25,18 +25,6 @@ struct LinkConfig {
   Duration jitter_max = usec(0);     // uniform extra delay in [0, jitter_max]
 };
 
-/// Per-link counters, exposed for tests and telemetry. `packets_dropped` is
-/// the sum of the per-mechanism breakdown.
-struct LinkStats {
-  std::uint64_t packets_offered = 0;
-  std::uint64_t packets_delivered = 0;
-  std::uint64_t packets_dropped = 0;
-  std::uint64_t bytes_offered = 0;
-  std::uint64_t dropped_bernoulli = 0;  // i.i.d. draws (baseline or GE Good state)
-  std::uint64_t dropped_burst = 0;      // Gilbert-Elliott Bad-state draws
-  std::uint64_t dropped_outage = 0;     // scheduled blackout / UDP blackhole
-};
-
 /// One direction of a network path. Delivery callbacks fire on the owning
 /// Simulator at (serialization end + latency + jitter); drops simply never
 /// deliver. FIFO is preserved when jitter is zero because serialization
@@ -60,7 +48,6 @@ class Link {
   void transmit(std::size_t size_bytes, std::function<void()> on_deliver,
                 bool lossless = false, PacketClass pclass = PacketClass::Tcp);
 
-  [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] const LinkConfig& config() const { return config_; }
 
   /// Replaces the loss rate mid-run (used by loss-sweep experiments). Asserts
@@ -83,7 +70,6 @@ class Link {
   std::unique_ptr<FaultInjector> fault_;
   TimePoint next_free_{0};      // when the serializer becomes idle
   TimePoint last_arrival_{0};   // FIFO guarantee: deliveries never reorder
-  LinkStats stats_;
 };
 
 }  // namespace h3cdn::net

@@ -80,9 +80,7 @@ class Gauge {
 /// lexicographic name order (deterministic exports).
 class MetricsRegistry {
  public:
-  /// `timeline_bucket` is the window width of the owned timeline.
-  explicit MetricsRegistry(Duration timeline_bucket = TimelineRecorder::kDefaultBucket)
-      : timeline_(timeline_bucket) {}
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 

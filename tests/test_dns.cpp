@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace h3cdn::dns {
 namespace {
 
 struct Fixture {
   sim::Simulator sim;
+  // Every resolver event of the fixture's lifetime counts into `metrics`.
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope{&metrics};
+
+  std::uint64_t count(const std::string& name) { return metrics.counter("dns." + name).value(); }
 
   Resolver make(DnsTransport transport, double loss = 0.0) {
     ResolverConfig config;
@@ -65,7 +72,7 @@ TEST(DnsResolver, StubCacheHitIsFree) {
   f.resolve_once(r, "a.example");
   const auto d = f.resolve_once(r, "a.example");
   EXPECT_EQ(d, Duration::zero());
-  EXPECT_EQ(r.stats().stub_cache_hits, 1u);
+  EXPECT_EQ(f.count("stub_cache_hits"), 1u);
 }
 
 TEST(DnsResolver, PrewarmSkipsNetwork) {
@@ -73,7 +80,7 @@ TEST(DnsResolver, PrewarmSkipsNetwork) {
   auto r = f.make(DnsTransport::Do53);
   r.prewarm("a.example");
   EXPECT_EQ(f.resolve_once(r, "a.example"), Duration::zero());
-  EXPECT_EQ(r.stats().queries, 1u);
+  EXPECT_EQ(f.count("queries"), 1u);
 }
 
 TEST(DnsResolver, EncryptedTransportsPayChannelSetupOnce) {
@@ -84,7 +91,7 @@ TEST(DnsResolver, EncryptedTransportsPayChannelSetupOnce) {
   // First query: 2 RTT TLS channel + 1 RTT query = 3 RTT; then 1 RTT.
   EXPECT_GE(first, msec(36));
   EXPECT_LT(second, msec(14));
-  EXPECT_EQ(doh.stats().channels_established, 1u);
+  EXPECT_EQ(f.count("channels_established"), 1u);
 }
 
 TEST(DnsResolver, DoQCheaperChannelThanDoH) {
@@ -105,7 +112,7 @@ TEST(DnsResolver, DoQResumesAtZeroRtt) {
   doq.drop_channel();
   const auto resumed = f.resolve_once(doq, "b.example");
   EXPECT_LT(resumed, cold);  // 0-RTT channel on resumption
-  EXPECT_EQ(doq.stats().channels_established, 2u);
+  EXPECT_EQ(f.count("channels_established"), 2u);
 }
 
 TEST(DnsResolver, Do53RetriesAfterTimeout) {
@@ -117,7 +124,7 @@ TEST(DnsResolver, Do53RetriesAfterTimeout) {
   Resolver r(f.sim, config, util::Rng(3));
   const auto d = f.resolve_once(r, "a.example");
   EXPECT_GE(d, config.udp_timeout);  // at least one 400ms retry with seed 3
-  EXPECT_GT(r.stats().retries, 0u);
+  EXPECT_GT(f.count("retries"), 0u);
 }
 
 TEST(DnsResolver, RecursiveMissAddsAuthoritativeWork) {
@@ -143,12 +150,12 @@ TEST(DnsResolver, NegativeCacheExpiryForcesRequery) {
   EXPECT_GT(f.resolve_once(r, "a.example"), Duration::zero());
   // Within the negative TTL: still a free stub hit.
   EXPECT_EQ(f.resolve_once(r, "a.example"), Duration::zero());
-  EXPECT_EQ(r.stats().negative_expiries, 0u);
+  EXPECT_EQ(f.count("negative_expiries"), 0u);
   // Past the negative TTL, before the positive one: pays the network again.
   f.sim.schedule_in(sec(10), [] {});
   f.sim.run();
   EXPECT_GT(f.resolve_once(r, "a.example"), Duration::zero());
-  EXPECT_EQ(r.stats().negative_expiries, 1u);
+  EXPECT_EQ(f.count("negative_expiries"), 1u);
 }
 
 TEST(DnsResolver, FullyPositiveNamesNeverExpireNegatively) {
@@ -163,7 +170,7 @@ TEST(DnsResolver, FullyPositiveNamesNeverExpireNegatively) {
   f.sim.schedule_in(sec(100), [] {});
   f.sim.run();
   EXPECT_EQ(f.resolve_once(r, "a.example"), Duration::zero());
-  EXPECT_EQ(r.stats().negative_expiries, 0u);
+  EXPECT_EQ(f.count("negative_expiries"), 0u);
 }
 
 TEST(DnsResolver, PrewarmRespectsStillValidNegativeState) {
@@ -184,7 +191,7 @@ TEST(DnsResolver, PrewarmRespectsStillValidNegativeState) {
   f.sim.schedule_in(sec(10), [] {});
   f.sim.run();
   EXPECT_GT(f.resolve_once(r, "a.example"), Duration::zero());
-  EXPECT_EQ(r.stats().negative_expiries, 1u);
+  EXPECT_EQ(f.count("negative_expiries"), 1u);
 }
 
 // --- DNS failover: multi-record answers with per-record health ---------------
@@ -204,14 +211,14 @@ TEST(DnsFailover, ReportFailureRotatesPreferredAndCooldownRecovers) {
   // Record 0's front end fails at t=0: demoted, dials rotate to record 1.
   r.report_failure("cdn.example", TimePoint{0});
   EXPECT_EQ(r.preferred_address("cdn.example", TimePoint{0}), 1u);
-  EXPECT_EQ(r.stats().failover_reports, 1u);
-  EXPECT_EQ(r.stats().failover_switches, 1u);
+  EXPECT_EQ(f.count("failover.reports"), 1u);
+  EXPECT_EQ(f.count("failover.switches"), 1u);
 
   // Record 1 fails at t=2s: every address is cooling down, so dials move to
   // the one recovering soonest (record 0, healthy again at 5s vs 7s).
   r.report_failure("cdn.example", TimePoint{sec(2)});
-  EXPECT_EQ(r.stats().failover_reports, 2u);
-  EXPECT_EQ(r.stats().failover_switches, 2u);
+  EXPECT_EQ(f.count("failover.reports"), 2u);
+  EXPECT_EQ(f.count("failover.switches"), 2u);
   EXPECT_EQ(r.preferred_address("cdn.example", TimePoint{sec(3)}), 0u);
 
   // Past its cooldown, record 0 is healthy and sticky again.
@@ -228,8 +235,8 @@ TEST(DnsFailover, SingleAddressRecordsNeverRotate) {
   f.resolve_once(r, "cdn.example");
   r.report_failure("cdn.example", TimePoint{0});
   EXPECT_EQ(r.preferred_address("cdn.example", TimePoint{0}), 0u);
-  EXPECT_EQ(r.stats().failover_reports, 0u);  // no-op on single-address names
-  EXPECT_EQ(r.stats().failover_switches, 0u);
+  EXPECT_EQ(f.count("failover.reports"), 0u);  // no-op on single-address names
+  EXPECT_EQ(f.count("failover.switches"), 0u);
   // Unknown names are a no-op too.
   r.report_failure("never.resolved", TimePoint{0});
   EXPECT_EQ(r.preferred_address("never.resolved", TimePoint{0}), 0u);
@@ -259,7 +266,7 @@ TEST(DnsFailover, NegativeExpiryRequeryResetsRecordHealth) {
   f.sim.schedule_in(sec(10), [] {});
   f.sim.run();
   EXPECT_GT(f.resolve_once(r, "cdn.example"), Duration::zero());
-  EXPECT_EQ(r.stats().negative_expiries, 1u);
+  EXPECT_EQ(f.count("negative_expiries"), 1u);
   EXPECT_EQ(r.preferred_address("cdn.example", f.sim.now()), 0u)
       << "a fresh answer must reset per-record health";
 }

@@ -14,6 +14,7 @@
 #include "http/pool.h"
 #include "net/fault.h"
 #include "net/path.h"
+#include "obs/metrics.h"
 #include "obs/trace_log.h"
 #include "sim/simulator.h"
 #include "transport/connection.h"
@@ -181,8 +182,13 @@ TEST(SessionDeath, EvacuatesQueuedAndInFlightEntriesOnce) {
 
 struct PoolFixture {
   sim::Simulator sim;
+  // Every pool event of the fixture's lifetime counts into `metrics`.
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope{&metrics};
   std::map<std::string, std::unique_ptr<net::NetPath>> paths;
   std::map<std::string, http::OriginInfo> origins;
+
+  std::uint64_t count(const std::string& name) { return metrics.counter(name).value(); }
 
   void add_origin(const std::string& domain, bool h3) {
     auto path = std::make_unique<net::NetPath>(
@@ -242,7 +248,7 @@ TEST(PoolFallback, MidTransferUdpBlackholeRescuesEveryRequestOverH2) {
   const http::PoolStats& s = pool.stats();
   EXPECT_EQ(s.connection_deaths, 1u);
   EXPECT_EQ(s.h3_fallbacks, 1u);
-  EXPECT_EQ(s.h3_broken_marks, 1u);
+  EXPECT_EQ(f.count("http.pool.h3_fallbacks"), 1u);  // each fallback marks H3 broken
   EXPECT_EQ(s.requests_rescued, static_cast<std::uint64_t>(n));
   EXPECT_EQ(s.requests_failed, 0u);
   EXPECT_TRUE(pool.h3_broken("cdn.example"));
@@ -262,7 +268,7 @@ TEST(PoolFallback, MidTransferUdpBlackholeRescuesEveryRequestOverH2) {
   f.sim.run();
   EXPECT_EQ(late.version, HttpVersion::H2);
   EXPECT_FALSE(late.failed);
-  EXPECT_EQ(pool.stats().h3_connections, 1u);  // still just the dead one
+  EXPECT_EQ(f.count("http.pool.connections.h3"), 1u);  // still just the dead one
 }
 
 TEST(PoolFallback, RetryBudgetExhaustionCompletesEntriesAsFailed) {
@@ -323,8 +329,8 @@ TEST(PoolFallback, BrokenMarkExpiryTriggersH3ReProbe) {
   EXPECT_EQ(first.version, HttpVersion::H2);  // rescued from the dead H3 dial
   EXPECT_FALSE(second.failed);
   EXPECT_EQ(second.version, HttpVersion::H3);  // re-probe back on H3
-  EXPECT_EQ(pool.stats().h3_reprobes, 1u);
-  EXPECT_EQ(pool.stats().h3_connections, 2u);
+  EXPECT_EQ(f.count("http.pool.h3_reprobes"), 1u);
+  EXPECT_EQ(f.count("http.pool.connections.h3"), 2u);
   EXPECT_FALSE(pool.h3_broken("cdn.example"));
   int reprobe_events = 0;
   for (const auto& e : log.tracks().front().events) {
@@ -358,7 +364,7 @@ TEST(PoolFallback, DisabledFallbackAbandonsNoEntriesButKeepsH3Routing) {
   ASSERT_EQ(done.size(), 3u);
   for (const auto& t : done) EXPECT_TRUE(t.failed);
   EXPECT_EQ(pool.stats().h3_fallbacks, 0u);
-  EXPECT_GE(pool.stats().h3_connections, 2u);  // it kept trying H3
+  EXPECT_GE(f.count("http.pool.connections.h3"), 2u);  // it kept trying H3
   EXPECT_FALSE(pool.h3_broken("cdn.example"));
 }
 
@@ -398,7 +404,7 @@ TEST(PoolFallback, RefusedBurstNeverMarksPoolH3Broken) {
   }
   EXPECT_FALSE(pool.h3_broken("edge.example"));
   const http::PoolStats& s = pool.stats();
-  EXPECT_EQ(s.h3_broken_marks, 0u);
+  EXPECT_EQ(f.count("http.pool.h3_fallbacks"), 0u);  // each fallback marks H3 broken
   EXPECT_EQ(s.h3_fallbacks, 0u);
   EXPECT_EQ(s.connections_refused, 3u);  // one per scripted refusal
   EXPECT_GT(s.refusal_retries, 0u);
@@ -443,7 +449,7 @@ TEST(PoolFallback, RefusalsStayOutOfBreakerAndDnsHealth) {
   EXPECT_EQ(engine.breakers().get("edge.example", "h3").state(),
             resilience::BreakerState::Closed);
   EXPECT_EQ(engine.breakers().total_transitions().opened, 0u);
-  EXPECT_EQ(pool.stats().h3_broken_marks, 0u);
+  EXPECT_EQ(f.count("http.pool.h3_fallbacks"), 0u);  // each fallback marks H3 broken
   EXPECT_FALSE(pool.h3_broken("edge.example"));
 }
 
@@ -455,7 +461,9 @@ TEST(BrowserFallback, PageCompletesWithZeroFailedLoadsThroughUdpBlackhole) {
   const web::Workload workload = web::generate_workload(wc);
   const web::WebPage& page = workload.sites[0].page;
 
-  auto load_page = [&](bool with_outage) {
+  // Each load counts into its own registry.
+  auto load_page = [&](bool with_outage, obs::MetricsRegistry& metrics) {
+    obs::ScopedMetrics scope(&metrics);
     sim::Simulator sim;
     browser::VantageConfig vantage;
     if (with_outage) {
@@ -477,11 +485,13 @@ TEST(BrowserFallback, PageCompletesWithZeroFailedLoadsThroughUdpBlackhole) {
     return browser.visit_and_run(page);
   };
 
-  const browser::PageLoadResult clean = load_page(false);
-  ASSERT_GE(clean.pool_stats.h3_connections, 1u)
+  obs::MetricsRegistry clean_metrics;
+  const browser::PageLoadResult clean = load_page(false, clean_metrics);
+  ASSERT_GE(clean_metrics.counter("http.pool.connections.h3").value(), 1u)
       << "site 0 must exercise H3 for this test to be meaningful";
 
-  const browser::PageLoadResult faulted = load_page(true);
+  obs::MetricsRegistry faulted_metrics;
+  const browser::PageLoadResult faulted = load_page(true, faulted_metrics);
   // The headline acceptance criterion: the outage causes ZERO failed loads;
   // every entry completes, the affected ones transparently over H2.
   EXPECT_EQ(faulted.har.failed_entry_count(), 0u);

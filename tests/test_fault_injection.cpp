@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "net/link.h"
 #include "net/path.h"
+#include "obs/metrics.h"
 
 namespace h3cdn::net {
 namespace {
@@ -30,6 +32,11 @@ std::vector<bool> offer_packets(sim::Simulator& sim, Link& link, int n,
   }
   sim.run();
   return delivered;
+}
+
+// One net.link.* counter of `metrics`.
+std::uint64_t link_count(obs::MetricsRegistry& metrics, const std::string& name) {
+  return metrics.counter("net.link." + name).value();
 }
 
 double mean_drop_run_length(const std::vector<bool>& delivered) {
@@ -72,22 +79,33 @@ TEST(GilbertElliott, InjectorMatchesAverageAndBurstStructure) {
   const double rate = 0.02;
   const int n = 60000;
 
+  // Each link counts into its own registry.
   sim::Simulator sim_iid;
   Link iid(sim_iid, instant_link(), util::Rng(11));
   FaultProfile iid_profile;
   iid_profile.gilbert_elliott = GilbertElliottConfig::bernoulli(rate);
   iid.set_fault_profile(iid_profile, util::Rng(21));
-  const auto iid_delivered = offer_packets(sim_iid, iid, n);
+  obs::MetricsRegistry iid_metrics;
+  std::vector<bool> iid_delivered;
+  {
+    obs::ScopedMetrics scope(&iid_metrics);
+    iid_delivered = offer_packets(sim_iid, iid, n);
+  }
 
   sim::Simulator sim_ge;
   Link ge(sim_ge, instant_link(), util::Rng(11));
   FaultProfile ge_profile;
   ge_profile.gilbert_elliott = GilbertElliottConfig::from_average(rate, 8.0);
   ge.set_fault_profile(ge_profile, util::Rng(21));
-  const auto ge_delivered = offer_packets(sim_ge, ge, n);
+  obs::MetricsRegistry ge_metrics;
+  std::vector<bool> ge_delivered;
+  {
+    obs::ScopedMetrics scope(&ge_metrics);
+    ge_delivered = offer_packets(sim_ge, ge, n);
+  }
 
-  const double iid_rate = static_cast<double>(iid.stats().packets_dropped) / n;
-  const double ge_rate = static_cast<double>(ge.stats().packets_dropped) / n;
+  const double iid_rate = static_cast<double>(link_count(iid_metrics, "packets_dropped")) / n;
+  const double ge_rate = static_cast<double>(link_count(ge_metrics, "packets_dropped")) / n;
   EXPECT_NEAR(iid_rate, rate, 0.005);
   EXPECT_NEAR(ge_rate, rate, 0.005);
 
@@ -96,11 +114,12 @@ TEST(GilbertElliott, InjectorMatchesAverageAndBurstStructure) {
   EXPECT_GT(mean_drop_run_length(ge_delivered), 4.0);
 
   // Accounting: the classic Gilbert chain only drops in the Bad state.
-  EXPECT_EQ(ge.stats().dropped_burst, ge.stats().packets_dropped);
-  EXPECT_EQ(ge.stats().dropped_bernoulli, 0u);
+  EXPECT_EQ(link_count(ge_metrics, "dropped.burst"), link_count(ge_metrics, "packets_dropped"));
+  EXPECT_EQ(link_count(ge_metrics, "dropped.bernoulli"), 0u);
   // The degenerate chain never visits Bad: all drops are i.i.d.
-  EXPECT_EQ(iid.stats().dropped_bernoulli, iid.stats().packets_dropped);
-  EXPECT_EQ(iid.stats().dropped_burst, 0u);
+  EXPECT_EQ(link_count(iid_metrics, "dropped.bernoulli"),
+            link_count(iid_metrics, "packets_dropped"));
+  EXPECT_EQ(link_count(iid_metrics, "dropped.burst"), 0u);
 }
 
 // --- Outages ----------------------------------------------------------------
@@ -111,6 +130,8 @@ TEST(FaultInjector, HardOutageDropsEverythingInsideTheWindow) {
   FaultProfile profile;
   profile.outages.push_back(Outage{msec(100), msec(50), OutageKind::Hard});
   link.set_fault_profile(profile, util::Rng(4));
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
 
   std::vector<std::pair<TimePoint, bool>> results;  // offered-at, delivered
   for (int i = 0; i < 20; ++i) {
@@ -134,8 +155,8 @@ TEST(FaultInjector, HardOutageDropsEverythingInsideTheWindow) {
     EXPECT_EQ(ok, !in_window) << "offered at " << at.count();
     outage_drops += in_window;
   }
-  EXPECT_EQ(link.stats().dropped_outage, outage_drops);
-  EXPECT_EQ(link.stats().packets_dropped, outage_drops);
+  EXPECT_EQ(link_count(metrics, "dropped.outage"), outage_drops);
+  EXPECT_EQ(link_count(metrics, "packets_dropped"), outage_drops);
 }
 
 TEST(FaultInjector, UdpBlackholeSparesTcp) {
@@ -144,6 +165,8 @@ TEST(FaultInjector, UdpBlackholeSparesTcp) {
   FaultProfile profile;
   profile.outages.push_back(Outage{TimePoint{0}, sec(10), OutageKind::UdpBlackhole});
   link.set_fault_profile(profile, util::Rng(4));
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
 
   const auto tcp = offer_packets(sim, link, 50, PacketClass::Tcp);
   for (bool ok : tcp) EXPECT_TRUE(ok);
@@ -156,7 +179,7 @@ TEST(FaultInjector, UdpBlackholeSparesTcp) {
   const auto udp_lossless = offer_packets(sim, link, 10, PacketClass::Udp, /*lossless=*/true);
   for (bool ok : udp_lossless) EXPECT_FALSE(ok);
 
-  EXPECT_EQ(link.stats().dropped_outage, 60u);
+  EXPECT_EQ(link_count(metrics, "dropped.outage"), 60u);
 }
 
 // --- RTT spikes -------------------------------------------------------------
@@ -178,9 +201,9 @@ TEST(FaultInjector, RttSpikeDelaysPacketsInsideTheWindow) {
   EXPECT_EQ(arrivals[1], msec(170));  // 120 + 10ms latency + 40ms spike
 }
 
-// --- Stats breakdown ---------------------------------------------------------
+// --- Drop counters -----------------------------------------------------------
 
-TEST(FaultInjector, LinkStatsSplitDropsByMechanism) {
+TEST(FaultInjector, DropCountersSplitByMechanism) {
   sim::Simulator sim;
   LinkConfig cfg = instant_link();
   cfg.loss_rate = 0.5;  // baseline Bernoulli drops alongside the outage
@@ -188,6 +211,8 @@ TEST(FaultInjector, LinkStatsSplitDropsByMechanism) {
   FaultProfile profile;
   profile.outages.push_back(Outage{msec(100), msec(100), OutageKind::Hard});
   link.set_fault_profile(profile, util::Rng(10));
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
 
   for (int i = 0; i < 200; ++i) link.transmit(100, [] {});  // t=0: baseline loss only
   sim.schedule_at(msec(150), [&] {
@@ -195,11 +220,11 @@ TEST(FaultInjector, LinkStatsSplitDropsByMechanism) {
   });
   sim.run();
 
-  EXPECT_EQ(link.stats().dropped_outage, 10u);
-  EXPECT_GT(link.stats().dropped_bernoulli, 50u);  // ~100 of 200 at 50% loss
-  EXPECT_EQ(link.stats().packets_dropped,
-            link.stats().dropped_bernoulli + link.stats().dropped_burst +
-                link.stats().dropped_outage);
+  EXPECT_EQ(link_count(metrics, "dropped.outage"), 10u);
+  EXPECT_GT(link_count(metrics, "dropped.bernoulli"), 50u);  // ~100 of 200 at 50% loss
+  EXPECT_EQ(link_count(metrics, "packets_dropped"),
+            link_count(metrics, "dropped.bernoulli") + link_count(metrics, "dropped.burst") +
+                link_count(metrics, "dropped.outage"));
 }
 
 TEST(FaultInjector, BreakdownSumsAcrossAllMechanisms) {
@@ -211,6 +236,8 @@ TEST(FaultInjector, BreakdownSumsAcrossAllMechanisms) {
   profile.gilbert_elliott = GilbertElliottConfig::from_average(0.05, 6.0);
   profile.outages.push_back(Outage{usec(0), usec(50), OutageKind::Hard});
   link.set_fault_profile(profile, util::Rng(14));
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
 
   // One packet per microsecond: the first 50 land in the outage window, the
   // rest face the stochastic mechanisms.
@@ -218,11 +245,14 @@ TEST(FaultInjector, BreakdownSumsAcrossAllMechanisms) {
     sim.schedule_at(usec(i), [&link] { link.transmit(100, [] {}); });
   }
   sim.run();
-  const LinkStats& s = link.stats();
-  EXPECT_GT(s.dropped_bernoulli, 0u);  // baseline Bernoulli still active
-  EXPECT_GT(s.dropped_burst, 0u);
-  EXPECT_EQ(s.packets_dropped, s.dropped_bernoulli + s.dropped_burst + s.dropped_outage);
-  EXPECT_EQ(s.packets_offered, s.packets_delivered + s.packets_dropped);
+  const std::uint64_t bernoulli = link_count(metrics, "dropped.bernoulli");
+  const std::uint64_t burst = link_count(metrics, "dropped.burst");
+  const std::uint64_t dropped = link_count(metrics, "packets_dropped");
+  EXPECT_GT(bernoulli, 0u);  // baseline Bernoulli still active
+  EXPECT_GT(burst, 0u);
+  EXPECT_EQ(dropped, bernoulli + burst + link_count(metrics, "dropped.outage"));
+  EXPECT_EQ(link_count(metrics, "packets_offered"),
+            link_count(metrics, "packets_delivered") + dropped);
 }
 
 // --- Determinism ------------------------------------------------------------
@@ -254,15 +284,28 @@ TEST(NetPathFaults, DirectionsGetIndependentBurstChains) {
   profile.gilbert_elliott = GilbertElliottConfig::from_average(0.1, 8.0);
   path.set_fault_profile(profile, util::Rng(32));
 
+  // One direction at a time, each into its own registry. The chains step
+  // per offered packet, so the order of the two directions does not matter.
   std::vector<bool> up(2000, false);
-  std::vector<bool> down(2000, false);
-  for (int i = 0; i < 2000; ++i) {
-    path.send_up(100, [&up, i] { up[static_cast<std::size_t>(i)] = true; });
-    path.send_down(100, [&down, i] { down[static_cast<std::size_t>(i)] = true; });
+  obs::MetricsRegistry up_metrics;
+  {
+    obs::ScopedMetrics scope(&up_metrics);
+    for (int i = 0; i < 2000; ++i) {
+      path.send_up(100, [&up, i] { up[static_cast<std::size_t>(i)] = true; });
+    }
+    sim.run();
   }
-  sim.run();
-  EXPECT_GT(path.uplink().stats().dropped_burst, 0u);
-  EXPECT_GT(path.downlink().stats().dropped_burst, 0u);
+  std::vector<bool> down(2000, false);
+  obs::MetricsRegistry down_metrics;
+  {
+    obs::ScopedMetrics scope(&down_metrics);
+    for (int i = 0; i < 2000; ++i) {
+      path.send_down(100, [&down, i] { down[static_cast<std::size_t>(i)] = true; });
+    }
+    sim.run();
+  }
+  EXPECT_GT(link_count(up_metrics, "dropped.burst"), 0u);
+  EXPECT_GT(link_count(down_metrics, "dropped.burst"), 0u);
   EXPECT_NE(up, down);  // independent fork streams => different realizations
 }
 
@@ -274,15 +317,25 @@ TEST(NetPathFaults, AddOutageCoversBothDirections) {
   NetPath path(sim, pc, util::Rng(41));
   path.add_outage(Outage{TimePoint{0}, sec(1), OutageKind::Hard});
 
+  // One direction at a time, each into its own registry.
   bool up_ok = false;
+  obs::MetricsRegistry up_metrics;
+  {
+    obs::ScopedMetrics scope(&up_metrics);
+    path.send_up(100, [&] { up_ok = true; });
+    sim.run();
+  }
   bool down_ok = false;
-  path.send_up(100, [&] { up_ok = true; });
-  path.send_down(100, [&] { down_ok = true; });
-  sim.run();
+  obs::MetricsRegistry down_metrics;
+  {
+    obs::ScopedMetrics scope(&down_metrics);
+    path.send_down(100, [&] { down_ok = true; });
+    sim.run();
+  }
   EXPECT_FALSE(up_ok);
   EXPECT_FALSE(down_ok);
-  EXPECT_EQ(path.uplink().stats().dropped_outage, 1u);
-  EXPECT_EQ(path.downlink().stats().dropped_outage, 1u);
+  EXPECT_EQ(link_count(up_metrics, "dropped.outage"), 1u);
+  EXPECT_EQ(link_count(down_metrics, "dropped.outage"), 1u);
 }
 
 // --- set_loss_rate validation (satellite) -----------------------------------

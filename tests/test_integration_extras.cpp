@@ -4,6 +4,7 @@
 
 #include "browser/browser.h"
 #include "core/selector.h"
+#include "obs/metrics.h"
 #include "web/workload.h"
 
 namespace h3cdn {
@@ -101,9 +102,11 @@ TEST(BrowserDns, DisabledDnsSkipsResolution) {
   browser::BrowserConfig config;
   config.dns_enabled = false;
   browser::Browser chrome(sim, env, nullptr, config, util::Rng(4));
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
   const auto result = chrome.visit_and_run(workload.sites[0].page);
   for (const auto& e : result.har.entries) EXPECT_EQ(e.timings.dns, Duration::zero());
-  EXPECT_EQ(env.dns().stats().queries, 0u);
+  EXPECT_EQ(metrics.counter("dns.queries").value(), 0u);
 }
 
 TEST(BrowserDns, ColdDnsSlowsTheLoad) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/path.h"
+#include "obs/metrics.h"
 
 namespace h3cdn::net {
 namespace {
@@ -54,13 +55,16 @@ TEST(Link, LossRateStatistics) {
   c.loss_rate = 0.2;
   c.bandwidth_bps = 0;
   Link link(sim, c, util::Rng(7));
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
   int delivered = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) link.transmit(100, [&] { ++delivered; });
   sim.run();
   EXPECT_NEAR(static_cast<double>(delivered) / n, 0.8, 0.02);
-  EXPECT_EQ(link.stats().packets_offered, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(link.stats().packets_delivered + link.stats().packets_dropped,
+  EXPECT_EQ(metrics.counter("net.link.packets_offered").value(), static_cast<std::uint64_t>(n));
+  EXPECT_EQ(metrics.counter("net.link.packets_delivered").value() +
+                metrics.counter("net.link.packets_dropped").value(),
             static_cast<std::uint64_t>(n));
 }
 
@@ -81,11 +85,13 @@ TEST(Link, FullLossDeliversNothing) {
   LinkConfig c = fast_link();
   c.loss_rate = 1.0;
   Link link(sim, c, util::Rng(7));
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
   int delivered = 0;
   for (int i = 0; i < 50; ++i) link.transmit(100, [&] { ++delivered; });
   sim.run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(link.stats().packets_dropped, 50u);
+  EXPECT_EQ(metrics.counter("net.link.packets_dropped").value(), 50u);
 }
 
 TEST(Link, JitterNeverReorders) {
@@ -183,10 +189,16 @@ TEST(NetPath, AccessLinkChainsBothSerializers) {
 
   TimePoint at{-1};
   path.send_down(1000, [&] { at = sim.now(); });
-  sim.run();
+  {
+    // The path hop transmitted above; the access hop transmits when the path
+    // hop delivers, so this scope sees only access_down.
+    obs::MetricsRegistry metrics;
+    obs::ScopedMetrics scope(&metrics);
+    sim.run();
+    EXPECT_EQ(metrics.counter("net.link.packets_delivered").value(), 1u);
+  }
   // path: 1ms serialize + 10ms latency; access: 1ms serialize + 2ms latency.
   EXPECT_EQ(at, msec(14));
-  EXPECT_EQ(access_down.stats().packets_delivered, 1u);
 }
 
 TEST(NetPath, AccessLossAppliesToChainedPackets) {

@@ -241,7 +241,7 @@ TEST(LoadStudy, JobsDoNotChangeOutputOrMetrics) {
   ASSERT_NE(plt_series, obs1.timeline().histograms().end());
   EXPECT_FALSE(plt_series->second.empty());
   bool plt_slo_seen = false;
-  for (const obs::SloResult& r : obs::evaluate_slos(obs1.timeline(), obs1.config().slo)) {
+  for (const obs::SloResult& r : obs::evaluate_slos(obs1.timeline(), obs::default_slo_objectives())) {
     if (r.objective.name != "plt-p95-under-2s") continue;
     plt_slo_seen = true;
     EXPECT_FALSE(r.no_data);

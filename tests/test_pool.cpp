@@ -5,6 +5,7 @@
 #include <map>
 
 #include "net/path.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 
 namespace h3cdn::http {
@@ -12,6 +13,9 @@ namespace {
 
 struct Fixture {
   sim::Simulator sim;
+  // Every pool event of the fixture's lifetime counts into `metrics`.
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope{&metrics};
   std::map<std::string, std::unique_ptr<net::NetPath>> paths;
   std::map<std::string, OriginInfo> origins;
   tls::SessionTicketStore tickets;
@@ -41,6 +45,8 @@ struct Fixture {
     return ConnectionPool(sim, config, resolver(), store, util::Rng(77));
   }
 
+  std::uint64_t count(const std::string& name) { return metrics.counter(name).value(); }
+
   Request request(const std::string& domain, std::size_t bytes = 10'000) {
     Request r;
     r.domain = domain;
@@ -59,7 +65,7 @@ TEST(Pool, RoutesH3WhenEnabledAndSupported) {
   pool.fetch(f.request("a.example"), [&](const EntryTimings& t) { out = t; });
   f.sim.run();
   EXPECT_EQ(out.version, HttpVersion::H3);
-  EXPECT_EQ(pool.stats().h3_connections, 1u);
+  EXPECT_EQ(f.count("http.pool.connections.h3"), 1u);
 }
 
 TEST(Pool, FallsBackToH2WhenBrowserDisablesQuic) {
@@ -90,7 +96,7 @@ TEST(Pool, LegacyOriginUsesH1) {
   pool.fetch(f.request("old.example"), [&](const EntryTimings& t) { out = t; });
   f.sim.run();
   EXPECT_EQ(out.version, HttpVersion::H1_1);
-  EXPECT_EQ(pool.stats().h1_connections, 1u);
+  EXPECT_EQ(f.count("http.pool.connections.h1"), 1u);
 }
 
 TEST(Pool, H1OpensUpToSixParallelConnections) {
@@ -101,7 +107,7 @@ TEST(Pool, H1OpensUpToSixParallelConnections) {
   for (int i = 0; i < 10; ++i) {
     pool.fetch(f.request("old.example"), [&](const EntryTimings&) { ++done; });
   }
-  EXPECT_EQ(pool.stats().h1_connections, 6u);
+  EXPECT_EQ(f.count("http.pool.connections.h1"), 6u);
   f.sim.run();
   EXPECT_EQ(done, 10);
 }
@@ -117,7 +123,7 @@ TEST(Pool, H1ReusesIdleKeepAliveConnection) {
   EntryTimings second;
   pool.fetch(f.request("old.example"), [&](const EntryTimings& t) { second = t; });
   f.sim.run();
-  EXPECT_EQ(pool.stats().h1_connections, 1u);
+  EXPECT_EQ(f.count("http.pool.connections.h1"), 1u);
   EXPECT_TRUE(second.reused_connection);
 }
 
@@ -158,7 +164,7 @@ TEST(Pool, H3NeverCoalesces) {
   pool.fetch(f.request("b.cdn.example"), [&](const EntryTimings&) { ++done; });
   f.sim.run();
   EXPECT_EQ(done, 2);
-  EXPECT_EQ(pool.stats().h3_connections, 2u);
+  EXPECT_EQ(f.count("http.pool.connections.h3"), 2u);
 }
 
 TEST(Pool, ReuseDilution) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "http/pool.h"
 #include "net/path.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 
 namespace h3cdn::http {
@@ -49,6 +51,8 @@ TEST_P(PoolMatrix, NegotiatesTheRightProtocolAndCompletes) {
   }
   PoolConfig config;
   config.h3_enabled = p.h3_enabled;
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
   ConnectionPool pool(sim, config, [&](const std::string& d) { return origins.at(d); },
                       nullptr, util::Rng(2));
 
@@ -67,22 +71,24 @@ TEST_P(PoolMatrix, NegotiatesTheRightProtocolAndCompletes) {
   for (const auto& t : out) EXPECT_EQ(t.version, expected_version());
 
   // Connection-count algebra for each corner of the matrix.
-  const auto& stats = pool.stats();
+  auto connections = [&](const char* version) {
+    return metrics.counter(std::string("http.pool.connections.") + version).value();
+  };
   if (expected_version() == HttpVersion::H1_1) {
     // 3 concurrent per domain, under the 6-per-origin cap.
-    EXPECT_EQ(stats.h1_connections, 6u);
+    EXPECT_EQ(connections("h1"), 6u);
   } else if (expected_version() == HttpVersion::H3) {
-    EXPECT_EQ(stats.h3_connections, 2u);  // never coalesces
+    EXPECT_EQ(connections("h3"), 2u);  // never coalesces
   } else if (p.coalesced) {
-    EXPECT_EQ(stats.h2_connections, 1u);  // one shared connection
+    EXPECT_EQ(connections("h2"), 1u);  // one shared connection
   } else {
-    EXPECT_EQ(stats.h2_connections, 2u);  // per-domain
+    EXPECT_EQ(connections("h2"), 2u);  // per-domain
   }
 
   // Reuse accounting: entries minus initiators ride existing connections.
   std::size_t initiators = 0;
   for (const auto& t : out) initiators += t.new_connection_initiator;
-  EXPECT_EQ(initiators, static_cast<std::size_t>(stats.connections_created));
+  EXPECT_EQ(initiators, static_cast<std::size_t>(pool.stats().connections_created));
   for (const auto& t : out) {
     if (!t.new_connection_initiator) {
       EXPECT_TRUE(t.reused_connection);

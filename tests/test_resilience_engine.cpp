@@ -9,6 +9,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace h3cdn::resilience {
@@ -198,10 +199,13 @@ TEST(BreakerRegistry, KeysByDomainAndProtocolAndSumsTransitions) {
 }
 
 TEST(Engine, DisabledByDefaultAndStatsStartZero) {
+  // The engine's counters are the registry's resilience.* series.
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
   Engine engine{Options{}};
   EXPECT_FALSE(engine.enabled());
-  EXPECT_EQ(engine.stats.retries, 0u);
-  EXPECT_EQ(engine.stats.hedges_launched, 0u);
+  EXPECT_EQ(metrics.counter("resilience.retries").value(), 0u);
+  EXPECT_EQ(metrics.counter("resilience.hedges_launched").value(), 0u);
   EXPECT_FALSE(engine.hedge_trigger().delay().has_value());
 }
 

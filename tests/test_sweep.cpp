@@ -110,27 +110,6 @@ TEST(Sweep, NullSinkGivesNullShardsAndInstallsNothing) {
   EXPECT_EQ(cells_run.load(), 5);
 }
 
-TEST(Sweep, ShardCapsAreSplitAcrossCells) {
-  ObservabilityConfig config;
-  config.max_waterfalls = 5;
-  RunObservability sink(config);
-  run_sweep(3, 3, &sink, [&](std::size_t cell, RunObservability* shard) {
-    ASSERT_NE(shard, nullptr);
-    EXPECT_EQ(shard->config().max_waterfalls, 2u);  // ceil(5 / 3)
-    for (int i = 0; i < 3; ++i) {
-      obs::Waterfall wf;
-      wf.site = "cell" + std::to_string(cell);
-      shard->add_waterfall(std::move(wf));
-    }
-    EXPECT_EQ(shard->waterfalls().size(), 2u);
-  });
-  // Six shard waterfalls re-admitted through the run-level cap of five, in
-  // cell order.
-  ASSERT_EQ(sink.waterfalls().size(), 5u);
-  EXPECT_EQ(sink.waterfalls().front().site, "cell0");
-  EXPECT_EQ(sink.waterfalls().back().site, "cell2");
-}
-
 TEST(Sweep, ThrowingCellPropagates) {
   RunObservability sink;
   EXPECT_THROW(run_sweep(4, 2, &sink,
