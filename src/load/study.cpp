@@ -15,6 +15,9 @@ namespace h3cdn::load {
 
 namespace {
 
+// One cell's open-loop runaway cap (load::FleetConfig::max_visits).
+constexpr std::size_t kMaxVisitsPerCell = 2048;
+
 LoadCellRow run_cell(const web::Workload& workload, const LoadStudyConfig& config,
                      double rate, std::size_t rate_index, bool h3) {
   sim::Simulator sim;
@@ -36,7 +39,7 @@ LoadCellRow run_cell(const web::Workload& workload, const LoadStudyConfig& confi
     fc.arrival.rate_per_sec = rate;
   }
   fc.h3 = h3;
-  fc.max_visits = config.max_visits_per_cell;
+  fc.max_visits = kMaxVisitsPerCell;
   fc.queue_sample_interval = config.queue_sample_interval;
   fc.vantage = config.vantage;
   fc.vantage.edge_capacity = {};  // servers come from the shared farm

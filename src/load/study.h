@@ -33,7 +33,6 @@ struct LoadStudyConfig {
   double peak_ratio = 3.0;      // DiurnalRamp shape
   Duration think_mean = sec(2); // ClosedLoop think time
 
-  std::size_t max_visits_per_cell = 2048;
   Duration queue_sample_interval = msec(250);
 
   // Capacity sized so the default rate sweep crosses the edge's knee: the

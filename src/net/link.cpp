@@ -38,10 +38,32 @@ Link::Link(sim::Simulator& sim, LinkConfig config, util::Rng rng)
 
 void Link::reseed_jitter(std::uint64_t salt) { jitter_rng_ = jitter_rng_.fork(salt); }
 
-void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bool lossless,
+void Link::transmit(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless,
                     PacketClass pclass) {
-  H3CDN_EXPECTS(on_deliver != nullptr);
+  H3CDN_EXPECTS(static_cast<bool>(on_deliver));
   obs::ProfileScope profile(kLinkTransmit);
+  if (const auto arrival = admit(size_bytes, lossless, pclass)) {
+    sim_.schedule_at(*arrival, std::move(on_deliver));
+  }
+}
+
+void Link::relay(std::size_t size_bytes, sim::EventId delivery, Link* next, bool lossless,
+                 PacketClass pclass) {
+  H3CDN_EXPECTS(next == nullptr || &next->sim_ == &sim_);
+  obs::ProfileScope profile(kLinkTransmit);
+  const auto arrival = admit(size_bytes, lossless, pclass);
+  if (!arrival) {
+    sim_.cancel(delivery);
+  } else if (next == nullptr) {
+    sim_.reschedule(delivery, *arrival);
+  } else {
+    sim_.schedule_at(*arrival, [next, delivery, size_bytes, lossless, pclass] {
+      next->relay(size_bytes, delivery, nullptr, lossless, pclass);
+    });
+  }
+}
+
+std::optional<TimePoint> Link::admit(std::size_t size_bytes, bool lossless, PacketClass pclass) {
   obs::count(kLinkPacketsOffered);
   obs::count(kLinkBytesOffered, size_bytes);
 
@@ -82,7 +104,7 @@ void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bo
         break;
       case DropReason::None: break;
     }
-    return;
+    return std::nullopt;
   }
 
   Duration jitter{0};
@@ -97,7 +119,7 @@ void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bo
   last_arrival_ = arrival;
   obs::count(kLinkPacketsDelivered);
   obs::observe_ms(kLinkSerializationWaitMs, start - sim_.now());
-  sim_.schedule_at(arrival, std::move(on_deliver));
+  return arrival;
 }
 
 void Link::set_loss_rate(double loss_rate) { config_.loss_rate = checked_loss_rate(loss_rate); }

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 
 #include "net/fault.h"
 #include "sim/simulator.h"
@@ -45,8 +45,18 @@ class Link {
   /// outages still apply, a dead link delivers nothing. `pclass` is the
   /// transport class middleboxes see: UDP blackholes drop only
   /// PacketClass::Udp traffic.
-  void transmit(std::size_t size_bytes, std::function<void()> on_deliver,
-                bool lossless = false, PacketClass pclass = PacketClass::Tcp);
+  void transmit(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless = false,
+                PacketClass pclass = PacketClass::Tcp);
+
+  /// Carries one packet whose delivery callback is parked on the Simulator
+  /// as `delivery` (Simulator::park) across this link and then, if `next` is
+  /// set, across `next` (same Simulator). The last hop queues the parked
+  /// callback at its arrival time with reschedule(); a drop on either hop
+  /// cancels it, destroying the callback at the drop instant. Each hop takes
+  /// the same (time, seq) and the same drop and jitter draws as transmit()
+  /// on that link would, so a chained path needs no wrapper closure.
+  void relay(std::size_t size_bytes, sim::EventId delivery, Link* next, bool lossless,
+             PacketClass pclass);
 
   [[nodiscard]] const LinkConfig& config() const { return config_; }
 
@@ -63,6 +73,10 @@ class Link {
   [[nodiscard]] FaultInjector* fault_injector() { return fault_.get(); }
 
  private:
+  /// Serializes one packet and draws its fate: the arrival time, or nullopt
+  /// when the packet is dropped. Counts the packet either way.
+  std::optional<TimePoint> admit(std::size_t size_bytes, bool lossless, PacketClass pclass);
+
   sim::Simulator& sim_;
   LinkConfig config_;
   util::Rng loss_rng_;

@@ -5,7 +5,7 @@
 namespace h3cdn::net {
 
 NetPath::NetPath(sim::Simulator& sim, PathConfig config, util::Rng rng)
-    : config_(config), fault_rng_(rng.fork("fault")) {
+    : sim_(sim), config_(config), fault_rng_(rng.fork("fault")) {
   H3CDN_EXPECTS(config.rtt >= Duration::zero());
   LinkConfig link;
   link.latency = Duration{config.rtt.count() / 2};
@@ -23,33 +23,23 @@ void NetPath::attach_access(Link* access_up, Link* access_down) {
   access_down_ = access_down;
 }
 
-void NetPath::send_up(std::size_t size_bytes, std::function<void()> on_deliver, bool lossless,
+void NetPath::send_up(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless,
                       PacketClass pclass) {
   if (access_up_ == nullptr) {
     up_->transmit(size_bytes, std::move(on_deliver), lossless, pclass);
     return;
   }
   // Client NIC first, then the wide-area path.
-  access_up_->transmit(
-      size_bytes,
-      [this, size_bytes, cb = std::move(on_deliver), lossless, pclass]() mutable {
-        up_->transmit(size_bytes, std::move(cb), lossless, pclass);
-      },
-      lossless, pclass);
+  access_up_->relay(size_bytes, sim_.park(std::move(on_deliver)), up_.get(), lossless, pclass);
 }
 
-void NetPath::send_down(std::size_t size_bytes, std::function<void()> on_deliver,
-                        bool lossless, PacketClass pclass) {
+void NetPath::send_down(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless,
+                        PacketClass pclass) {
   if (access_down_ == nullptr) {
     down_->transmit(size_bytes, std::move(on_deliver), lossless, pclass);
     return;
   }
-  down_->transmit(
-      size_bytes,
-      [this, size_bytes, cb = std::move(on_deliver), lossless, pclass]() mutable {
-        access_down_->transmit(size_bytes, std::move(cb), lossless, pclass);
-      },
-      lossless, pclass);
+  down_->relay(size_bytes, sim_.park(std::move(on_deliver)), access_down_, lossless, pclass);
 }
 
 void NetPath::set_loss_rate(double loss_rate) {

@@ -40,13 +40,15 @@ class NetPath {
 
   /// Sends one packet client->server through (access uplink ->) path uplink.
   /// `pclass` is the transport class (QUIC connections tag everything Udp);
-  /// it is forwarded to every link on the way, access links included.
-  void send_up(std::size_t size_bytes, std::function<void()> on_deliver,
-               bool lossless = false, PacketClass pclass = PacketClass::Tcp);
+  /// it is forwarded to every link on the way, access links included. On a
+  /// chained path the callback is parked on the Simulator while the packet
+  /// crosses the first link (Link::relay), so no hop wraps it in a closure.
+  void send_up(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless = false,
+               PacketClass pclass = PacketClass::Tcp);
 
   /// Sends one packet server->client through path downlink (-> access downlink).
-  void send_down(std::size_t size_bytes, std::function<void()> on_deliver,
-                 bool lossless = false, PacketClass pclass = PacketClass::Tcp);
+  void send_down(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless = false,
+                 PacketClass pclass = PacketClass::Tcp);
 
   /// Base round-trip time (propagation only, no serialization/jitter).
   [[nodiscard]] Duration base_rtt() const { return config_.rtt; }
@@ -68,6 +70,7 @@ class NetPath {
   void reseed_jitter(std::uint64_t salt);
 
  private:
+  sim::Simulator& sim_;
   PathConfig config_;
   util::Rng fault_rng_;  // seeds lazily-created injectors (add_outage)
   std::unique_ptr<Link> up_;

@@ -26,8 +26,15 @@ EventId Simulator::schedule_at(TimePoint at, SmallFn fn) {
   H3CDN_EXPECTS(static_cast<bool>(fn));
   const std::uint32_t slot = acquire_slot();
   slots_[slot].fn = std::move(fn);
-  heap_.push_back(Entry{at, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
+  push(at, slot);
+  return make_event_id(slots_[slot].gen, slot);
+}
+
+EventId Simulator::park(SmallFn fn) {
+  H3CDN_EXPECTS(static_cast<bool>(fn));
+  const std::uint32_t slot = acquire_slot();
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].pos = kParked;
   return make_event_id(slots_[slot].gen, slot);
 }
 
@@ -37,17 +44,21 @@ EventId Simulator::schedule_in(Duration delay, SmallFn fn) {
 }
 
 bool Simulator::cancel(EventId id) {
-  Slot* s = pending_slot(id);
+  Slot* s = live_slot(id);
   if (s == nullptr) return false;
-  heap_erase(s->pos);
+  if (s->pos != kParked) heap_erase(s->pos);
   release_slot(static_cast<std::uint32_t>(id & kSlotMask32));
   return true;
 }
 
 bool Simulator::reschedule(EventId id, TimePoint at) {
   H3CDN_EXPECTS(at >= now_);
-  Slot* s = pending_slot(id);
+  Slot* s = live_slot(id);
   if (s == nullptr) return false;
+  if (s->pos == kParked) {
+    push(at, static_cast<std::uint32_t>(id & kSlotMask32));
+    return true;
+  }
   Entry& e = heap_[s->pos];
   e.at = at;
   e.seq = next_seq_++;
@@ -85,7 +96,7 @@ std::uint32_t Simulator::acquire_slot() {
   return slot;
 }
 
-Simulator::Slot* Simulator::pending_slot(EventId id) {
+Simulator::Slot* Simulator::live_slot(EventId id) {
   const std::uint32_t slot = static_cast<std::uint32_t>(id & kSlotMask32);
   const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
   if (slot >= slots_.size()) return nullptr;
@@ -102,6 +113,11 @@ void Simulator::release_slot(std::uint32_t slot) {
   s.fn.reset();
   if (++s.gen == 0) s.gen = 1;  // keep EventId 0 forever invalid
   free_slots_.push_back(slot);
+}
+
+void Simulator::push(TimePoint at, std::uint32_t slot) {
+  heap_.push_back(Entry{at, next_seq_++, slot});
+  sift_up(heap_.size() - 1);
 }
 
 void Simulator::sift_up(std::size_t i) {

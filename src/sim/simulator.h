@@ -10,7 +10,9 @@
 // arena slot, so sifting compares without touching the arena; each slot
 // records its heap position, so cancel() and reschedule() are O(log n). The
 // callback lives inline in its slot via SmallFn, so steady-state scheduling
-// performs no per-event heap allocation.
+// performs no per-event heap allocation. A slot may also be *parked*: it holds
+// a callback with no time yet, and reschedule() later queues it (net::NetPath
+// parks a packet's delivery while the packet crosses its first link).
 #pragma once
 
 #include <cstdint>
@@ -36,21 +38,28 @@ class Simulator {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules `fn` to run at absolute virtual time `at` (>= now()).
-  /// Accepts any void() callable (stored inline for captures <= 48 bytes).
+  /// Accepts any void() callable (stored inline for captures <= 64 bytes).
   EventId schedule_at(TimePoint at, SmallFn fn);
 
   /// Schedules `fn` to run `delay` (>= 0) after now().
   EventId schedule_in(Duration delay, SmallFn fn);
 
-  /// Cancels a pending event. Returns false if it already fired or was
-  /// cancelled. Removes the entry and recycles its arena slot immediately,
-  /// so pending() stays exact with no shadow bookkeeping.
+  /// Stores `fn` in an arena slot without queueing it: no time, no sequence
+  /// number. reschedule() queues it; cancel() destroys it. A parked event
+  /// counts in neither pending() nor idle().
+  EventId park(SmallFn fn);
+
+  /// Cancels a pending or parked event. Returns false if it already fired or
+  /// was cancelled. Removes the entry and recycles its arena slot (destroying
+  /// the callback) immediately, so pending() stays exact with no shadow
+  /// bookkeeping.
   bool cancel(EventId id);
 
   /// Moves a pending event to absolute time `at` (>= now()), keeping its id
   /// and callback. It takes a fresh sequence number, so it orders exactly as
-  /// cancel() followed by schedule_at() would. Returns false, changing
-  /// nothing, if the event already fired or was cancelled.
+  /// cancel() followed by schedule_at() would; a parked event is queued the
+  /// same way. Returns false, changing nothing, if the event already fired or
+  /// was cancelled.
   bool reschedule(EventId id, TimePoint at);
 
   /// Runs until the queue drains. Returns the number of events executed.
@@ -71,15 +80,17 @@ class Simulator {
 
  private:
   // --- event arena ----------------------------------------------------------
-  // One slot per pending event. Slots are recycled through a free list; the
-  // generation counter in the EventId makes stale handles (fired or
+  // One slot per pending or parked event. Slots are recycled through a free
+  // list; the generation counter in the EventId makes stale handles (fired or
   // cancelled events) fail cancel() and reschedule() without any side table.
   struct Slot {
     std::uint32_t gen = 1;
     std::uint32_t pos = kNotQueued;  // index of this event's heap entry
     SmallFn fn;
   };
-  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;  // free slot
+  static constexpr std::uint32_t kParked = 0xfffffffeu;     // live, not queued
+  static_assert(sizeof(void*) != 8 || sizeof(Slot) == 80, "keep the arena slot at 80 bytes");
 
   // --- heap -----------------------------------------------------------------
   struct Entry {
@@ -93,8 +104,9 @@ class Simulator {
   };
 
   std::uint32_t acquire_slot();
-  /// The slot `id` names if its event is still pending, else nullptr.
-  Slot* pending_slot(EventId id);
+  /// The slot `id` names if its event is still pending or parked, else
+  /// nullptr.
+  Slot* live_slot(EventId id);
   void release_slot(std::uint32_t slot);
 
   /// Writes `e` at heap index `i` and records the index in its slot.
@@ -102,6 +114,8 @@ class Simulator {
     heap_[i] = e;
     slots_[e.slot].pos = static_cast<std::uint32_t>(i);
   }
+  /// Queues `slot` at time `at` with a fresh sequence number.
+  void push(TimePoint at, std::uint32_t slot);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   /// Restores heap order after the key at `i` changed in either direction.

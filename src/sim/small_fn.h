@@ -4,9 +4,12 @@
 // million-client sweep schedules tens of millions of callbacks, and
 // std::function heap-allocates any capture list over ~16 bytes (our typical
 // event captures `this` plus two or three scalars, which is just past that
-// edge). SmallFn widens the inline buffer so every event callback in the
-// codebase is stored in place inside its arena slot — no per-event heap
-// allocation — and falls back to the heap only for oversized captures.
+// edge). SmallFn widens the inline buffer to 64 pointer-aligned bytes, so
+// every event callback in the codebase — the largest is a data packet's
+// delivery (shared_ptr + direction + packet number + 32-byte chunk = 64
+// bytes) — is stored in place inside its arena slot, with no per-event heap
+// allocation. sizeof(SmallFn) is 72 and a Simulator arena slot 80. Oversized
+// or over-aligned captures fall back to the heap.
 #pragma once
 
 #include <cstddef>
@@ -19,10 +22,16 @@ namespace h3cdn::sim {
 
 class SmallFn {
  public:
-  /// Inline capacity: covers every event lambda in the tree (the largest
-  /// captures `this` + index + id + TimePoint = 28 bytes) with headroom for
-  /// a by-value std::function capture (32 bytes on libstdc++).
-  static constexpr std::size_t kInlineBytes = 48;
+  /// Inline capacity: covers every event lambda in the tree (the largest is
+  /// Connection's data-packet delivery at 64 bytes).
+  static constexpr std::size_t kInlineBytes = 64;
+
+  /// True when a callable of type Fn is stored in place, with no heap block.
+  template <typename Fn>
+  static constexpr bool fits_inline() {
+    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(void*) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
 
   SmallFn() = default;
 
@@ -78,12 +87,6 @@ class SmallFn {
   };
 
   template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename Fn>
   struct InlineOps {
     static Fn* self(void* b) { return std::launder(reinterpret_cast<Fn*>(b)); }
     static void invoke(void* b) { (*self(b))(); }
@@ -119,7 +122,7 @@ class SmallFn {
   }
 
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  alignas(void*) unsigned char buf_[kInlineBytes];
 };
 
 }  // namespace h3cdn::sim

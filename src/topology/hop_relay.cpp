@@ -102,8 +102,6 @@ void HopRelay::warm_edge(const std::string& domain, const std::string& key) {
   if (up.edge != nullptr) up.edge->warm(key);
 }
 
-const http::PoolStats& HopRelay::pool_stats() const { return pool_->stats(); }
-
 void HopRelay::close() { pool_->close_all(); }
 
 }  // namespace h3cdn::topology

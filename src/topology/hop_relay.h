@@ -80,7 +80,6 @@ class HopRelay {
   [[nodiscard]] std::size_t level() const { return config_.level; }
   [[nodiscard]] bool terminal() const { return config_.terminal; }
   [[nodiscard]] const TierCache* cache() const { return cache_.get(); }
-  [[nodiscard]] const http::PoolStats& pool_stats() const;
   [[nodiscard]] std::uint64_t fetches() const { return fetches_; }
 
   /// Tears down every upstream connection (end of a topology cell).

@@ -428,9 +428,14 @@ std::optional<Connection::Chunk> Connection::next_chunk(Dir d) {
     s.conn_bytes_assigned += c.len;
     sent += c.len;
     // Rotate within the priority bucket so same-urgency responses interleave
-    // (both H2 and H3 frame-multiplex this way).
-    bucket.pop_front();
-    if (sent < size) bucket.push_back(sid);
+    // (both H2 and H3 frame-multiplex this way). A lone stream stays put:
+    // rotating it would only walk the deque into a fresh block every 64 sends.
+    if (sent >= size) {
+      bucket.pop_front();
+    } else if (bucket.size() > 1) {
+      bucket.pop_front();
+      bucket.push_back(sid);
+    }
     if (d == Dir::Up && sent >= size && !st.request_sent_reported) {
       st.request_sent_reported = true;
       if (auto cb = std::exchange(st.cb.on_request_sent, nullptr)) cb(sim_.now());
@@ -469,6 +474,8 @@ void Connection::send_chunk(Dir d, const Chunk& chunk, bool is_retx) {
 
   auto self = shared_from_this();
   auto deliver = [self, d, num, chunk] { self->on_packet_arrive(d, num, chunk); };
+  static_assert(sim::SmallFn::fits_inline<decltype(deliver)>(),
+                "a data packet's delivery must not allocate");
   if (d == Dir::Up) {
     path_.send_up(chunk.len + overhead(), std::move(deliver), /*lossless=*/false, pclass());
   } else {
@@ -539,7 +546,9 @@ void Connection::on_packet_arrive(Dir d, std::uint64_t packet_num, Chunk chunk) 
     if (chunk.conn_offset >= s.recv_next_conn &&
         s.conn_ooo.find(chunk.conn_offset) == s.conn_ooo.end()) {
       const bool fills_gap = chunk.conn_offset == s.recv_next_conn;
-      s.conn_ooo.emplace(chunk.conn_offset, chunk);
+      // In order with nothing parked: delivered below without the buffer.
+      const bool direct = fills_gap && s.conn_ooo.empty();
+      if (!direct) s.conn_ooo.emplace(chunk.conn_offset, chunk);
       if (d == Dir::Down && !fills_gap) open_resp_stall(chunk.stream, chunk.len);
       if (d == Dir::Down && fills_gap) {
         // The gap that blocked every parked stream belonged to `chunk.stream`
@@ -551,6 +560,10 @@ void Connection::on_packet_arrive(Dir d, std::uint64_t packet_num, Chunk chunk) 
         for (auto& [sid, st] : streams_) {
           if (st.stall_since >= TimePoint{0}) close_resp_stall(sid, sid != chunk.stream);
         }
+      }
+      if (direct) {
+        s.recv_next_conn += chunk.len;
+        deliver_in_order(d, chunk);
       }
       while (!s.conn_ooo.empty() && s.conn_ooo.begin()->first == s.recv_next_conn) {
         const Chunk next = s.conn_ooo.begin()->second;
@@ -575,7 +588,9 @@ void Connection::on_packet_arrive(Dir d, std::uint64_t packet_num, Chunk chunk) 
       auto& ooo = d == Dir::Up ? st.req_ooo : st.resp_ooo;
       if (chunk.stream_offset >= recv_next && ooo.find(chunk.stream_offset) == ooo.end()) {
         const bool fills_gap = chunk.stream_offset == recv_next;
-        ooo.emplace(chunk.stream_offset, chunk.len);
+        // In order with nothing parked: delivered below without the buffer.
+        const bool direct = fills_gap && ooo.empty();
+        if (!direct) ooo.emplace(chunk.stream_offset, chunk.len);
         if (d == Dir::Down && !fills_gap) open_resp_stall(chunk.stream, chunk.len);
         if (d == Dir::Down && fills_gap) {
           // QUIC gaps only ever block the stream's own data — cross-stream
@@ -584,6 +599,10 @@ void Connection::on_packet_arrive(Dir d, std::uint64_t packet_num, Chunk chunk) 
           // before draining: delivery may complete the stream and its
           // observer reads stall totals synchronously.
           close_resp_stall(chunk.stream, /*cross_stream=*/false);
+        }
+        if (direct) {
+          recv_next += chunk.len;
+          deliver_in_order(d, chunk);
         }
         while (!ooo.empty() && ooo.begin()->first == recv_next) {
           const std::size_t len = ooo.begin()->second;
@@ -610,6 +629,7 @@ void Connection::on_packet_arrive(Dir d, std::uint64_t packet_num, Chunk chunk) 
   // behaviours, which are identical for both transports).
   auto self = shared_from_this();
   auto deliver = [self, d, packet_num] { self->on_ack(d, packet_num); };
+  static_assert(sim::SmallFn::fits_inline<decltype(deliver)>(), "an ACK must not allocate");
   if (d == Dir::Up) {
     path_.send_down(config_.ack_bytes, std::move(deliver), /*lossless=*/true, pclass());
   } else {
@@ -782,6 +802,8 @@ void Connection::maybe_grant_credit(Dir d, StreamId sid) {
     }
     self->pump(d);
   };
+  static_assert(sim::SmallFn::fits_inline<decltype(apply)>(),
+                "a WINDOW_UPDATE must not allocate");
   if (d == Dir::Up) {
     path_.send_down(config_.ack_bytes, std::move(apply), /*lossless=*/true, pclass());
   } else {

@@ -338,6 +338,61 @@ TEST(NetPathFaults, AddOutageCoversBothDirections) {
   EXPECT_EQ(link_count(down_metrics, "dropped.outage"), 1u);
 }
 
+TEST(NetPathFaults, AccessLinkUdpBlackholeDropsOnlyQuicOnBothHops) {
+  sim::Simulator sim;
+  PathConfig pc;
+  pc.rtt = msec(20);
+  pc.bandwidth_bps = 0;
+  NetPath path(sim, pc, util::Rng(61));
+  Link access_up(sim, instant_link(), util::Rng(62));
+  Link access_down(sim, instant_link(), util::Rng(63));
+  FaultProfile blackhole;
+  blackhole.outages.push_back(Outage{TimePoint{0}, sec(1), OutageKind::UdpBlackhole});
+  access_up.set_fault_profile(blackhole, util::Rng(64));    // first hop up
+  access_down.set_fault_profile(blackhole, util::Rng(65));  // second hop down
+  path.attach_access(&access_up, &access_down);
+
+  bool tcp_up = false, tcp_down = false, udp_up = false, udp_down = false;
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scope(&metrics);
+  path.send_up(100, [&] { tcp_up = true; }, /*lossless=*/true, PacketClass::Tcp);
+  path.send_down(100, [&] { tcp_down = true; }, /*lossless=*/true, PacketClass::Tcp);
+  path.send_up(100, [&] { udp_up = true; }, /*lossless=*/true, PacketClass::Udp);
+  path.send_down(100, [&] { udp_down = true; }, /*lossless=*/true, PacketClass::Udp);
+  sim.run();
+  EXPECT_TRUE(tcp_up);
+  EXPECT_TRUE(tcp_down);
+  EXPECT_FALSE(udp_up);
+  EXPECT_FALSE(udp_down);
+  EXPECT_EQ(link_count(metrics, "dropped.outage"), 2u);
+}
+
+TEST(NetPathFaults, LosslessReachesBothHops) {
+  sim::Simulator sim;
+  PathConfig pc;
+  pc.rtt = msec(20);
+  pc.bandwidth_bps = 0;
+  pc.loss_rate = 1.0;
+  NetPath path(sim, pc, util::Rng(71));
+  LinkConfig ac = instant_link();
+  ac.loss_rate = 1.0;
+  Link access_up(sim, ac, util::Rng(72));
+  Link access_down(sim, ac, util::Rng(73));
+  path.attach_access(&access_up, &access_down);
+
+  int lossless = 0;
+  int lossy = 0;
+  for (int i = 0; i < 10; ++i) {
+    path.send_up(100, [&] { ++lossless; }, /*lossless=*/true, PacketClass::Udp);
+    path.send_down(100, [&] { ++lossless; }, /*lossless=*/true, PacketClass::Udp);
+    path.send_up(100, [&] { ++lossy; });
+    path.send_down(100, [&] { ++lossy; });
+  }
+  sim.run();
+  EXPECT_EQ(lossless, 20);
+  EXPECT_EQ(lossy, 0);
+}
+
 // --- set_loss_rate validation (satellite) -----------------------------------
 
 TEST(LinkLossRate, ClampsFloatingPointOvershoot) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "net/path.h"
 #include "obs/metrics.h"
 
@@ -199,6 +202,105 @@ TEST(NetPath, AccessLinkChainsBothSerializers) {
   }
   // path: 1ms serialize + 10ms latency; access: 1ms serialize + 2ms latency.
   EXPECT_EQ(at, msec(14));
+}
+
+TEST(NetPath, ChainedArrivalIsTheSumOfBothHops) {
+  sim::Simulator sim;
+  PathConfig pc;
+  pc.rtt = msec(20);
+  pc.bandwidth_bps = 8e6;
+  NetPath path(sim, pc, util::Rng(1));
+  LinkConfig ac;
+  ac.latency = msec(2);
+  ac.bandwidth_bps = 4e6;  // 2 us per byte
+  Link access_up(sim, ac, util::Rng(2));
+  Link access_down(sim, ac, util::Rng(3));
+  path.attach_access(&access_up, &access_down);
+
+  std::vector<TimePoint> up;
+  path.send_up(1000, [&] { up.push_back(sim.now()); });
+  path.send_up(1000, [&] { up.push_back(sim.now()); });
+  sim.run();
+  // access: 2 ms serialize + 2 ms latency; path: 1 ms serialize + 10 ms
+  // latency. The second packet waits 2 ms behind the first on the access
+  // serializer, then finds the path serializer idle.
+  EXPECT_EQ(up, (std::vector<TimePoint>{msec(15), msec(17)}));
+}
+
+TEST(NetPath, SecondHopDropReleasesTheCallbackAtTheDropInstant) {
+  for (const bool upstream : {true, false}) {
+    sim::Simulator sim;
+    PathConfig pc;
+    pc.rtt = msec(20);
+    pc.bandwidth_bps = 0;
+    NetPath path(sim, pc, util::Rng(1));
+    LinkConfig ac;
+    ac.latency = msec(2);
+    ac.bandwidth_bps = 8e6;
+    Link access_up(sim, ac, util::Rng(2));
+    Link access_down(sim, ac, util::Rng(3));
+    path.attach_access(&access_up, &access_down);
+    // The second hop drops everything: the path uplink on the way up, the
+    // access downlink on the way down.
+    (upstream ? path.uplink() : access_down).set_loss_rate(1.0);
+
+    TimePoint released{-1};
+    std::weak_ptr<int> watch;
+    bool delivered = false;
+    {
+      std::shared_ptr<int> token(new int(0), [&](int* p) {
+        released = sim.now();
+        delete p;
+      });
+      watch = token;
+      auto deliver = [&delivered, token = std::move(token)] { delivered = true; };
+      if (upstream) {
+        path.send_up(1000, std::move(deliver));
+      } else {
+        path.send_down(1000, std::move(deliver));
+      }
+    }
+
+    // Up: 1 ms serialize + 2 ms latency on the access link. Down: 10 ms
+    // latency on an infinitely fast path link.
+    const TimePoint first_hop = upstream ? msec(3) : msec(10);
+    sim.run_until(first_hop - usec(1));
+    EXPECT_FALSE(watch.expired()) << "upstream " << upstream;
+    sim.run();
+    EXPECT_TRUE(watch.expired()) << "upstream " << upstream;
+    EXPECT_EQ(released, first_hop) << "upstream " << upstream;
+    EXPECT_FALSE(delivered);
+  }
+}
+
+TEST(NetPath, ChainedPathKeepsFifoUnderJitter) {
+  sim::Simulator sim;
+  PathConfig pc;
+  pc.rtt = msec(20);
+  pc.bandwidth_bps = 8e6;
+  pc.jitter_max = msec(4);
+  NetPath path(sim, pc, util::Rng(7));
+  LinkConfig ac;
+  ac.latency = msec(1);
+  ac.bandwidth_bps = 16e6;
+  ac.jitter_max = msec(3);
+  Link access_up(sim, ac, util::Rng(8));
+  Link access_down(sim, ac, util::Rng(9));
+  path.attach_access(&access_up, &access_down);
+
+  std::vector<int> up;
+  std::vector<int> down;
+  for (int i = 0; i < 200; ++i) {
+    path.send_up(500, [&up, i] { up.push_back(i); });
+    path.send_down(500, [&down, i] { down.push_back(i); });
+  }
+  sim.run();
+  ASSERT_EQ(up.size(), 200u);
+  ASSERT_EQ(down.size(), 200u);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(up[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(down[static_cast<std::size_t>(i)], i);
+  }
 }
 
 TEST(NetPath, AccessLossAppliesToChainedPackets) {

@@ -188,7 +188,6 @@ LoadStudyConfig small_config() {
   cfg.sites = 3;
   cfg.offered_rates = {2.0, 24.0};
   cfg.window = sec(4);
-  cfg.max_visits_per_cell = 512;
   cfg.seed = 99;
   cfg.jobs = 1;
   return cfg;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -324,6 +325,76 @@ TEST(Scheduler, PendingExactUnderInterleaving) {
   EXPECT_TRUE(sim.idle());
 }
 
+TEST(Scheduler, ParkedEventFiresOnlyAfterReschedule) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId parked = sim.park([&] { order.push_back(1); });
+  EXPECT_NE(parked, 0u);
+  sim.schedule_at(msec(10), [&] { order.push_back(2); });
+  EXPECT_EQ(sim.run(), 1u);  // the parked event stays put through a drain
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  // Queued at the current time: it still runs after events already waiting
+  // there, as a schedule_at() now would.
+  sim.schedule_at(msec(20), [&] { order.push_back(3); });
+  EXPECT_TRUE(sim.reschedule(parked, msec(20)));
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
+  EXPECT_EQ(sim.now(), msec(20));
+}
+
+TEST(Scheduler, CancelOfParkedEventDestroysItsCallback) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  const EventId parked = sim.park([token = std::move(token)] { ++*token; });
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(sim.cancel(parked));
+  EXPECT_TRUE(watch.expired());
+  EXPECT_FALSE(sim.cancel(parked));
+  EXPECT_FALSE(sim.reschedule(parked, msec(1)));
+  EXPECT_EQ(sim.run(), 0u);
+}
+
+TEST(Scheduler, PendingAndIdleIgnoreParkedEvents) {
+  Simulator sim;
+  const EventId a = sim.park([] {});
+  const EventId b = sim.park([] {});
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_TRUE(sim.reschedule(a, msec(5)));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_TRUE(sim.cancel(b));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_TRUE(sim.reschedule(a, msec(6)));  // queued now: an ordinary move
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Scheduler, StaleFiredOrRecycledParkedIdsFail) {
+  Simulator sim;
+  const EventId fired = sim.park([] {});
+  EXPECT_TRUE(sim.reschedule(fired, msec(1)));
+  sim.run();
+  EXPECT_FALSE(sim.reschedule(fired, msec(2)));
+  EXPECT_FALSE(sim.cancel(fired));
+
+  const EventId cancelled = sim.park([] {});
+  EXPECT_TRUE(sim.cancel(cancelled));
+  // The freed slot is parked again under a new generation; the stale id must
+  // neither queue nor destroy it.
+  bool recycled_fired = false;
+  const EventId recycled = sim.park([&] { recycled_fired = true; });
+  EXPECT_EQ(recycled & 0xffffffffu, cancelled & 0xffffffffu);
+  EXPECT_FALSE(sim.reschedule(cancelled, msec(3)));
+  EXPECT_FALSE(sim.cancel(cancelled));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_TRUE(sim.reschedule(recycled, msec(4)));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(recycled_fired);
+}
+
 // The scheduler contract in its plainest form: a (time, seq)-ordered map of
 // pending ops. The heap core must be observably identical to it.
 class ReferenceScheduler {
@@ -337,7 +408,15 @@ class ReferenceScheduler {
     return handle;
   }
 
+  /// Holds `op` under a handle with no time and no seq.
+  std::uint64_t park(std::uint32_t op) {
+    const std::uint64_t handle = next_handle_++;
+    parked_[handle] = op;
+    return handle;
+  }
+
   bool cancel(std::uint64_t handle) {
+    if (parked_.erase(handle) != 0) return true;
     const auto it = keys_.find(handle);
     if (it == keys_.end()) return false;  // fired, cancelled, or unknown
     queue_.erase(it->second);
@@ -347,10 +426,16 @@ class ReferenceScheduler {
 
   /// Cancel plus schedule at `at` with a fresh seq; the handle stays valid.
   bool reschedule(std::uint64_t handle, TimePoint at) {
-    const auto it = keys_.find(handle);
-    if (it == keys_.end()) return false;
-    const std::uint32_t op = queue_.at(it->second).op;
-    cancel(handle);
+    std::uint32_t op = 0;
+    if (const auto parked = parked_.find(handle); parked != parked_.end()) {
+      op = parked->second;
+      parked_.erase(parked);
+    } else {
+      const auto it = keys_.find(handle);
+      if (it == keys_.end()) return false;
+      op = queue_.at(it->second).op;
+      cancel(handle);
+    }
     push(handle, at, op);
     return true;
   }
@@ -384,14 +469,16 @@ class ReferenceScheduler {
 
   std::map<Key, Pending> queue_;  // seq makes every key unique
   std::map<std::uint64_t, Key> keys_;  // pending handle -> its current key
+  std::map<std::uint64_t, std::uint32_t> parked_;  // parked handle -> op
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_handle_ = 0;
   TimePoint now_{0};
 };
 
 // Differential fuzz: drive the simulator and the reference model through the
-// same pseudo-random 10k-op schedule/cancel/run_until script and require the
-// identical firing order, clock, pending count and cancel results.
+// same pseudo-random 10k-op schedule/park/arm/cancel/run_until script and
+// require the identical firing order, clock, pending count and cancel and
+// arm results.
 TEST(SchedulerDifferential, TenThousandOpFuzz) {
   Simulator sim;
   ReferenceScheduler ref;
@@ -408,12 +495,24 @@ TEST(SchedulerDifferential, TenThousandOpFuzz) {
 
   for (std::uint32_t op = 0; op < 10'000; ++op) {
     const std::uint64_t kind = rnd() % 100;
-    if (kind < 70) {
+    if (kind < 60) {
       // Schedule at a horizon that clusters events (same-time collisions are
       // the interesting case for FIFO order).
       const Duration delay = usec(static_cast<std::int64_t>(rnd() % 5'000));
       sim_ids.push_back(sim.schedule_in(delay, [&sim_fired, op] { sim_fired.push_back(op); }));
       ref_ids.push_back(ref.schedule_in(delay, op));
+    } else if (kind < 66) {
+      // Park: a callback with no time yet, as NetPath holds a packet's
+      // delivery while it crosses the first link.
+      sim_ids.push_back(sim.park([&sim_fired, op] { sim_fired.push_back(op); }));
+      ref_ids.push_back(ref.park(op));
+    } else if (kind < 72 && !sim_ids.empty()) {
+      // Arm a random id: queues a parked event, moves a pending one, and
+      // fails alike for fired or cancelled ones.
+      const std::size_t pick = rnd() % sim_ids.size();
+      const TimePoint at = sim.now() + usec(static_cast<std::int64_t>(rnd() % 5'000));
+      EXPECT_EQ(sim.reschedule(sim_ids[pick], at), ref.reschedule(ref_ids[pick], at))
+          << "op " << op;
     } else if (kind < 90 && !sim_ids.empty()) {
       // Cancel a random previously issued id; outcomes must agree even for
       // already-fired or already-cancelled handles.
@@ -437,7 +536,9 @@ TEST(SchedulerDifferential, TenThousandOpFuzz) {
 // apart, plus one 200 ms-1 s retransmission timer per flow that every "send"
 // re-arms in place, as Connection::arm_rto does. Timers move both earlier and
 // later, fire when a run jumps past them, and are re-armed by id after they
-// fired (which must fail identically in both models).
+// fired (which must fail identically in both models). Some packets cross a
+// chained path as NetPath sends them: parked, then armed at their arrival or
+// cancelled as a drop.
 TEST(SchedulerDifferential, BimodalPacketsAndRearmedTimers) {
   Simulator sim;
   ReferenceScheduler ref;
@@ -447,6 +548,7 @@ TEST(SchedulerDifferential, BimodalPacketsAndRearmedTimers) {
   std::vector<EventId> sim_timer(kFlows, 0);
   std::vector<std::uint64_t> ref_timer(kFlows, 0);
   std::vector<bool> armed(kFlows, false);
+  std::vector<std::pair<EventId, std::uint64_t>> relaying;  // parked packets
 
   std::uint64_t lcg = 0x0123456789abcdefull;
   auto rnd = [&lcg] {
@@ -461,11 +563,16 @@ TEST(SchedulerDifferential, BimodalPacketsAndRearmedTimers) {
   std::size_t moved = 0;
   for (std::uint32_t op = 0; op < 20'000; ++op) {
     const std::uint64_t kind = rnd() % 100;
-    if (kind < 65) {
-      // Send: a packet a few microseconds out, then re-arm this flow's timer.
+    if (kind < 60) {
+      // Send: a packet a few microseconds out (or parked on its first hop),
+      // then re-arm this flow's timer.
       const Duration hop = usec(static_cast<std::int64_t>(rnd() % 8));
-      sim.schedule_in(hop, fire(op));
-      ref.schedule_in(hop, op);
+      if (rnd() % 4 == 0) {
+        relaying.emplace_back(sim.park(fire(op)), ref.park(op));
+      } else {
+        sim.schedule_in(hop, fire(op));
+        ref.schedule_in(hop, op);
+      }
       const std::size_t flow = rnd() % kFlows;
       // Deadlines on a millisecond grid, so flows' timers tie now and then.
       const TimePoint deadline =
@@ -482,11 +589,26 @@ TEST(SchedulerDifferential, BimodalPacketsAndRearmedTimers) {
         ref_timer[flow] = ref.schedule_in(deadline - ref.now(), op | kTimerBit);
         armed[flow] = true;
       }
-    } else if (kind < 70) {
+    } else if (kind < 65) {
       // Disarm a flow's timer (all data acknowledged).
       const std::size_t flow = rnd() % kFlows;
       if (armed[flow]) {
         ASSERT_EQ(sim.cancel(sim_timer[flow]), ref.cancel(ref_timer[flow])) << "op " << op;
+      }
+    } else if (kind < 70) {
+      // The oldest parked packet leaves its first hop: delivered a few
+      // microseconds on, or dropped.
+      if (!relaying.empty()) {
+        const auto [sim_id, ref_id] = relaying.front();
+        relaying.erase(relaying.begin());
+        if (rnd() % 10 == 0) {
+          ASSERT_TRUE(sim.cancel(sim_id)) << "op " << op;
+          ASSERT_TRUE(ref.cancel(ref_id)) << "op " << op;
+        } else {
+          const TimePoint at = sim.now() + usec(static_cast<std::int64_t>(rnd() % 8));
+          ASSERT_TRUE(sim.reschedule(sim_id, at)) << "op " << op;
+          ASSERT_TRUE(ref.reschedule(ref_id, at)) << "op " << op;
+        }
       }
     } else {
       // Mostly short runs through the packet burst; now and then a jump far
